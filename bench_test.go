@@ -242,8 +242,7 @@ func BenchmarkFig12bDRAMBandwidth(b *testing.B) {
 
 // BenchmarkCellRun measures the end-to-end cost of one sweep cell —
 // kernel construction plus a full simulation — and reports the two
-// headline hot-path numbers tracked across PRs in BENCH_PR<N>.json:
-// cells/sec (how many cells one core sustains) and ns/cycle (the cost
+// headline hot-path numbers: cells/sec (how many cells one core sustains) and ns/cycle (the cost
 // of one simulated cycle). Run with -benchmem to see the allocation
 // trajectory; the steady-state cycle loop is expected to be
 // allocation-free (see BenchmarkCellCycle and the internal/sm alloc

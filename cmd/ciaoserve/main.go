@@ -158,17 +158,7 @@ func main() {
 		go watchPeer(*peer, *leaseTTL, s.sweeps.AdoptOrphans, s.sweeps.MirrorFrom)
 	}
 
-	srv := &http.Server{
-		Addr:    *addr,
-		Handler: s.handler,
-		// ReadTimeout bounds slow request uploads (bodies are tiny
-		// specs); IdleTimeout reaps abandoned keep-alive connections.
-		// WriteTimeout stays zero: the sweep results endpoint streams
-		// for as long as a sweep runs.
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       2 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
+	srv := s.httpServer(*addr)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()

@@ -143,3 +143,21 @@ func newServer(o serverOpts) *server {
 		handler: httpx.Instrument(red, logf, mux),
 	}
 }
+
+// httpServer serves the handler on addr. Shutdown releases the held
+// /coord/lease polls first, so a drain does not wait them out.
+func (s *server) httpServer(addr string) *http.Server {
+	srv := &http.Server{
+		Addr:    addr,
+		Handler: s.handler,
+		// ReadTimeout bounds slow request uploads (bodies are tiny
+		// specs); IdleTimeout reaps abandoned keep-alive connections.
+		// WriteTimeout stays zero: the sweep results endpoint streams
+		// for as long as a sweep runs.
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       2 * time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
+	srv.RegisterOnShutdown(s.hub.Close)
+	return srv
+}

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -233,6 +235,55 @@ func TestServerMetricsFormats(t *testing.T) {
 	resp.Body.Close()
 	if !strings.Contains(string(body), "# TYPE ciao_http_request_seconds histogram") {
 		t.Error("Accept: text/plain did not produce exposition format")
+	}
+}
+
+// TestServerShutdownReleasesHeldLeasePolls: a worker's lease poll is
+// held while the hub has nothing to lease, and a graceful drain must
+// release it instead of waiting the hold out.
+func TestServerShutdownReleasesHeldLeasePolls(t *testing.T) {
+	s, _, release := testServer(t, serverOpts{workers: 1})
+	close(release)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := s.httpServer(ln.Addr().String())
+	go srv.Serve(ln)
+	base := "http://" + ln.Addr().String()
+
+	polled := make(chan error, 1)
+	go func() {
+		resp, err := http.Post(base+"/coord/lease", "application/json", strings.NewReader(`{"worker":"w1","wait_ms":20000}`))
+		if err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+		polled <- err
+	}()
+	waitFor(t, "the held poll to register its worker", func() bool {
+		resp, err := http.Get(base + "/coord/admin/leases")
+		if err != nil {
+			return false
+		}
+		defer resp.Body.Close()
+		var out struct {
+			Workers []json.RawMessage `json:"workers"`
+		}
+		return json.NewDecoder(resp.Body).Decode(&out) == nil && len(out.Workers) == 1
+	})
+
+	start := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if el := time.Since(start); el > time.Second {
+		t.Fatalf("Shutdown took %s with a held lease poll, want < 1s", el)
+	}
+	if err := <-polled; err != nil {
+		t.Fatalf("held poll: %v, want an answer", err)
 	}
 }
 

@@ -72,7 +72,6 @@ func main() {
 		tags      = flag.String("tags", "", "worker: comma-separated capability tags to advertise (e.g. bigmem,gpu)")
 		maxCells  = flag.Int("maxcells", 0, "worker: largest shard (in cells) to accept per lease (0 = unlimited)")
 		idleExit  = flag.Duration("idle-exit", 0, "worker: exit after the coordinator has been idle this long (0 = poll forever)")
-		poll      = flag.Duration("poll", 500*time.Millisecond, "worker: lease poll interval when no shard is available (±25% jitter)")
 		compact   = flag.Bool("compact", false, "compact the store's settled records into an immutable segment after a run or merge finishes")
 		gzipSegs  = flag.Bool("gzip-segments", false, "gzip-compress segments written by -compact")
 	)
@@ -83,7 +82,7 @@ func main() {
 	var err error
 	switch {
 	case *workerURL != "":
-		err = runWorker(*workerURL, *name, *tags, *workers, *entries, *maxCells, *idleExit, *poll)
+		err = runWorker(*workerURL, *name, *tags, *workers, *entries, *maxCells, *idleExit)
 	case *merge != "":
 		err = runMerge(*specPath, *dir, *merge, *compact, *gzipSegs)
 	default:
@@ -96,7 +95,7 @@ func main() {
 
 // runWorker loops leasing shards from a coordinator until interrupted
 // (or, with -idle-exit, until the coordinator stays idle that long).
-func runWorker(url, name, tags string, workers, entries, maxCells int, idleExit, poll time.Duration) error {
+func runWorker(url, name, tags string, workers, entries, maxCells int, idleExit time.Duration) error {
 	engine := service.NewEngine(service.Config{Workers: workers, CacheEntries: entries})
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -106,7 +105,6 @@ func runWorker(url, name, tags string, workers, entries, maxCells int, idleExit,
 		Tags:     splitTags(tags),
 		MaxCells: maxCells,
 		Engine:   engine,
-		Poll:     poll,
 		IdleExit: idleExit,
 		Logf:     log.Printf,
 	})

@@ -178,7 +178,7 @@ func TestStarvedSweepCompletesWhenMatchingWorkerJoins(t *testing.T) {
 	}
 
 	// An untagged worker polls away; the sweep must report starved.
-	defer startWorker(t, srv.URL, "plain", fakeEngine(), 10*time.Millisecond)()
+	defer startWorker(t, srv.URL, "plain", fakeEngine())()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		if p := run.Progress(); p.Starved == 2 && p.State == sweep.StateRunning {
@@ -219,7 +219,6 @@ func startTaggedWorker(t *testing.T, url, name string, tags []string, engine *se
 		Name:   name,
 		Tags:   tags,
 		Engine: engine,
-		Poll:   10 * time.Millisecond,
 		Logf:   t.Logf,
 	})
 }
@@ -269,7 +268,7 @@ func TestBusyWorkerElsewhereIsNotStarvation(t *testing.T) {
 	// shard (registered first) — the hub-wide scan must still record
 	// its capabilities with sweep B.
 	big := WorkerID{Name: "big", Tags: []string{"bigmem"}}
-	l, ok, _, _ := hub.lease(big)
+	l, ok, _, _ := hub.lease(context.Background(), big, 0)
 	if !ok || l.Sweep != "run-a" {
 		t.Fatalf("hub.lease = (%+v, %v), want sweep A's shard", l, ok)
 	}
@@ -293,7 +292,7 @@ func TestBusyWorkerElsewhereIsNotStarvation(t *testing.T) {
 	// lease, not one per constrained sweep — and only when nothing in
 	// the whole scan was granted.
 	before := hub.counters.Snapshot().LeasesStarved
-	_, ok, _, starved := hub.lease(wid("plain"))
+	_, ok, _, starved := hub.lease(context.Background(), wid("plain"), 0)
 	if ok {
 		t.Fatal("untagged worker got a lease with A leased out and B constrained")
 	}
@@ -338,7 +337,6 @@ func TestStarvedWorkerHonorsIdleExit(t *testing.T) {
 			URL:      srv.URL,
 			Name:     "plain",
 			Engine:   fakeEngine(),
-			Poll:     20 * time.Millisecond,
 			IdleExit: 200 * time.Millisecond,
 			Logf:     t.Logf,
 		})

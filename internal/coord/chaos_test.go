@@ -76,7 +76,7 @@ func TestChaosMixedFleet(t *testing.T) {
 	// run the unconstrained half), and a flaky bigmem worker that is
 	// started and killed over and over mid-run.
 	defer startTaggedWorker(t, srv.URL, "stable", []string{"bigmem"}, fakeEngine())()
-	defer startWorker(t, srv.URL, "small", fakeEngine(), 15*time.Millisecond)()
+	defer startWorker(t, srv.URL, "small", fakeEngine())()
 	flakyDone := make(chan struct{})
 	go func() {
 		defer close(flakyDone)

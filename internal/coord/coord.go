@@ -32,7 +32,7 @@ var ErrStale = errors.New("coord: stale lease")
 
 // Defaults for Config zero values.
 const (
-	DefaultShardSize = 8
+	DefaultShardSize = 2
 	DefaultTTL       = 30 * time.Second
 	DefaultMaxLeases = 5
 )
@@ -42,7 +42,9 @@ const (
 type Config struct {
 	// ShardSize is the number of cells per leasable shard (0 =
 	// DefaultShardSize). Smaller shards re-assign less work when a
-	// worker dies but cost more round-trips.
+	// worker dies and leave a shorter uneven tail, but cost more
+	// round-trips: a lease plus a complete is about 1 ms, against tens
+	// of ms per cell.
 	ShardSize int
 	// TTL is how long a lease lives without a heartbeat (0 =
 	// DefaultTTL).
@@ -186,7 +188,10 @@ type Coordinator struct {
 	// built outside a hub gets a private one.
 	reg *workerRegistry
 
-	mu         sync.Mutex
+	mu sync.Mutex
+	// wake tells the hub a shard may have returned to pending, so its
+	// held lease polls re-scan (nil outside a hub).
+	wake       func()
 	shards     []*shard
 	cells      map[string]cellOutcome // cell key → merge outcome
 	keyByIndex map[int]string         // cell index → cell key
@@ -765,6 +770,10 @@ func (c *Coordinator) Complete(worker string, shardID int, recs []sweep.CellReco
 		// the shard stays leased, expires, and the missing cells
 		// re-assign.
 		c.retireShardLocked(sh)
+	} else {
+		// A partial or stale upload changed the table outside the
+		// lease cycle; let held polls look again.
+		c.wakeLocked()
 	}
 	c.promoteShardsLocked()
 	c.maybeFinishLocked()
@@ -1007,6 +1016,26 @@ func (c *Coordinator) expireLocked(now time.Time) {
 	}
 }
 
+// nextExpiry reports when the earliest live lease lapses; ok is false
+// when no shard is leased.
+func (c *Coordinator) nextExpiry() (exp time.Time, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, sh := range c.shards {
+		if sh.state == shardLeased && (!ok || sh.expires.Before(exp)) {
+			exp, ok = sh.expires, true
+		}
+	}
+	return exp, ok
+}
+
+// wakeLocked signals the hub, if any, that a shard may be leasable.
+func (c *Coordinator) wakeLocked() {
+	if c.wake != nil {
+		c.wake()
+	}
+}
+
 // maybeFinishLocked moves the sweep to its terminal state once no
 // shard is pending or leased: all-done finishes "done"; done plus at
 // least one quarantined shard finishes "done-with-quarantined" — the
@@ -1075,6 +1104,7 @@ func (c *Coordinator) AdminExpire(shardID int) error {
 	c.counters.AdminExpired.Inc()
 	c.compactJournalLocked()
 	c.notifyLocked()
+	c.wakeLocked()
 	return nil
 }
 
@@ -1134,6 +1164,7 @@ func (c *Coordinator) Unquarantine(shardID int) error {
 	c.counters.ShardsUnquarantined.Inc()
 	c.compactJournalLocked()
 	c.notifyLocked()
+	c.wakeLocked()
 	return nil
 }
 

@@ -62,13 +62,12 @@ func newStore(t *testing.T, spec sweep.Spec, cells []sweep.Cell) (*sweep.Store, 
 // startWorker runs a RunWorker loop against url until the returned
 // stop function is called (which joins the goroutine, so no worker
 // outlives its test).
-func startWorker(t *testing.T, url, name string, engine *service.Engine, poll time.Duration) context.CancelFunc {
+func startWorker(t *testing.T, url, name string, engine *service.Engine) context.CancelFunc {
 	t.Helper()
 	return startWorkerCfg(t, WorkerConfig{
 		URL:    url,
 		Name:   name,
 		Engine: engine,
-		Poll:   poll,
 		Logf:   t.Logf,
 	})
 }
@@ -127,7 +126,7 @@ func TestDistributedSweepTwoWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"w1", "w2"} {
-		defer startWorker(t, srv.URL, name, fakeEngine(), 10*time.Millisecond)()
+		defer startWorker(t, srv.URL, name, fakeEngine())()
 	}
 	waitDone(t, d)
 
@@ -196,7 +195,7 @@ func TestKilledWorkerShardReassigned(t *testing.T) {
 	if _, ok := c.Lease(wid("dead-worker")); !ok {
 		t.Fatal("dead worker got no lease")
 	}
-	defer startWorker(t, srv.URL, "live", fakeEngine(), 20*time.Millisecond)()
+	defer startWorker(t, srv.URL, "live", fakeEngine())()
 	waitDone(t, d)
 
 	if final := d.Progress(); final.State != sweep.StateDone || final.Done != 8 {
@@ -607,7 +606,7 @@ func TestManagerDistributedEndToEnd(t *testing.T) {
 		t.Error("status should report the sweep as distributed")
 	}
 	for _, name := range []string{"w1", "w2"} {
-		defer startWorker(t, srv.URL, name, fakeEngine(), 10*time.Millisecond)()
+		defer startWorker(t, srv.URL, name, fakeEngine())()
 	}
 	select {
 	case <-run.Done():
@@ -665,7 +664,7 @@ func TestDistributedMatchesLocalBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"w1", "w2"} {
-		defer startWorker(t, srv.URL, name, service.NewEngine(service.Config{Workers: 2}), 10*time.Millisecond)()
+		defer startWorker(t, srv.URL, name, service.NewEngine(service.Config{Workers: 2}))()
 	}
 	waitDone(t, d)
 	defer distStore.Close()

@@ -84,8 +84,8 @@ func TestFederationSeparateDirsMirrorAndAdopt(t *testing.T) {
 		})
 	}
 	urls := a.srv.URL + "," + b.srv.URL
-	defer startWorkerCfg(t, WorkerConfig{URL: urls, Name: "w1", Engine: gatedEngine(), Poll: 15 * time.Millisecond, Logf: t.Logf})()
-	defer startWorkerCfg(t, WorkerConfig{URL: urls, Name: "w2", Engine: gatedEngine(), Poll: 15 * time.Millisecond, Logf: t.Logf})()
+	defer startWorkerCfg(t, WorkerConfig{URL: urls, Name: "w1", Engine: gatedEngine(), Logf: t.Logf})()
+	defer startWorkerCfg(t, WorkerConfig{URL: urls, Name: "w2", Engine: gatedEngine(), Logf: t.Logf})()
 
 	deadline := time.Now().Add(30 * time.Second)
 	for {

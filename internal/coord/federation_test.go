@@ -127,7 +127,7 @@ func (s *redirectStub) handler() http.Handler {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		if s.lease == nil || s.leased {
-			writeJSON(w, http.StatusOK, leaseResponse{Status: statusIdle, RetryMS: 10})
+			writeJSON(w, http.StatusOK, leaseResponse{Status: statusIdle})
 			return
 		}
 		s.leased = true
@@ -215,7 +215,6 @@ func TestWorkerFollowsRedirectMidShard(t *testing.T) {
 		URL:      srvA.URL, // the worker knows only the old server; the redirect teaches it the adopter
 		Name:     "w1",
 		Engine:   engine,
-		Poll:     10 * time.Millisecond,
 		IdleExit: 200 * time.Millisecond,
 		Logf:     t.Logf,
 	})
@@ -313,7 +312,7 @@ func TestManagerAdoptOrphans(t *testing.T) {
 
 	srv := httptest.NewServer(hubB.Handler())
 	defer srv.Close()
-	defer startWorker(t, srv.URL, "w9", fakeEngine(), 20*time.Millisecond)()
+	defer startWorker(t, srv.URL, "w9", fakeEngine())()
 	select {
 	case <-run.Done():
 	case <-time.After(60 * time.Second):
@@ -407,8 +406,8 @@ func TestFederationPeerAdoptsOrphanedSweep(t *testing.T) {
 		})
 	}
 	urls := srvA.URL + "," + srvB.URL
-	defer startWorkerCfg(t, WorkerConfig{URL: urls, Name: "w1", Engine: gatedEngine(), Poll: 15 * time.Millisecond, Logf: t.Logf})()
-	defer startWorkerCfg(t, WorkerConfig{URL: urls, Name: "w2", Engine: gatedEngine(), Poll: 15 * time.Millisecond, Logf: t.Logf})()
+	defer startWorkerCfg(t, WorkerConfig{URL: urls, Name: "w1", Engine: gatedEngine(), Logf: t.Logf})()
+	defer startWorkerCfg(t, WorkerConfig{URL: urls, Name: "w2", Engine: gatedEngine(), Logf: t.Logf})()
 
 	// Wait until every unblocked cell is settled and only the gated
 	// shard remains in flight, heartbeat-renewed by its holder.

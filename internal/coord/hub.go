@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -51,6 +52,14 @@ type Hub struct {
 	// on the manager, which owns directory scanning; the hub only wires
 	// it to HTTP.
 	adoptFunc func() (int, error)
+
+	// wake is closed (and replaced) by signal whenever a shard may have
+	// become leasable, releasing every held lease poll at once; closed
+	// releases them for good when the hub shuts down.
+	wakeMu    sync.Mutex
+	wake      chan struct{}
+	closed    chan struct{}
+	closeOnce sync.Once
 }
 
 // NewHub builds a hub; cfg applies to every coordinator it creates.
@@ -60,7 +69,30 @@ func NewHub(cfg Config) *Hub {
 		reg:       newWorkerRegistry(cfg.ttl()),
 		coords:    map[string]*Coordinator{},
 		redirects: map[string]string{},
+		wake:      make(chan struct{}),
+		closed:    make(chan struct{}),
 	}
+}
+
+// Close releases every held lease poll and stops holding new ones, so
+// a draining server need not wait them out. The hub keeps answering.
+func (h *Hub) Close() { h.closeOnce.Do(func() { close(h.closed) }) }
+
+// changes returns the channel the next signal closes. Take it before
+// scanning, so a change that lands between the scan and the hold is
+// not missed.
+func (h *Hub) changes() <-chan struct{} {
+	h.wakeMu.Lock()
+	defer h.wakeMu.Unlock()
+	return h.wake
+}
+
+// signal wakes every held lease poll to re-scan.
+func (h *Hub) signal() {
+	h.wakeMu.Lock()
+	defer h.wakeMu.Unlock()
+	close(h.wake)
+	h.wake = make(chan struct{})
 }
 
 // SetAdoptFunc installs the callback POST /coord/adopt runs — usually
@@ -227,13 +259,19 @@ func (h *Hub) Recover(spec sweep.Spec, cells []sweep.Cell, store *sweep.Store, o
 	return c, c.ID(), nil
 }
 
-// register serves a coordinator's leases until it finishes.
+// register serves a coordinator's leases until it finishes. Held
+// lease polls wake when it arrives, when one of its shards returns to
+// pending, and when it finishes.
 func (h *Hub) register(c *Coordinator) {
 	id := c.ID()
+	c.mu.Lock()
+	c.wake = h.signal
+	c.mu.Unlock()
 	h.mu.Lock()
 	h.coords[id] = c
 	h.order = append(h.order, id)
 	h.mu.Unlock()
+	h.signal()
 	go func() {
 		<-c.Done()
 		h.mu.Lock()
@@ -245,6 +283,7 @@ func (h *Hub) register(c *Coordinator) {
 			}
 		}
 		h.mu.Unlock()
+		h.signal()
 	}()
 }
 
@@ -282,24 +321,18 @@ func (h *Hub) list() []*Coordinator {
 // least one constraint denial and no merely-busy sweep — a worker
 // served by sweep B is not starved just because sweep A's shards need
 // more than it has.
-func (h *Hub) lease(w WorkerID) (l Lease, ok, active, starved bool) {
+//
+// A poll that finds nothing is held for up to wait (see hold) unless
+// it is about to be redirected, then scanned once more. The worker is
+// observed before the hold, so a waiting worker stays listed.
+func (h *Hub) lease(ctx context.Context, w WorkerID, wait time.Duration) (l Lease, ok, active, starved bool) {
 	h.reg.observe(w, time.Now())
-	coords := h.list()
-	var starvedOf []*Coordinator
-	busy := false
-	for _, c := range coords {
-		g, granted, constrained := c.leaseScan(w)
-		if granted {
-			l, ok = g, true
-			break
-		}
-		if constrained {
-			starvedOf = append(starvedOf, c)
-		} else {
-			// Denied without a constraint: the sweep's remaining shards
-			// are leased out (or parked) and may come back — retrying
-			// is meaningful, so the worker is not starved.
-			busy = true
+	wake := h.changes()
+	l, ok, n, busy, starvedOf := h.scan(w)
+	if !ok && wait > 0 {
+		if _, redirect := h.anyRedirect(); n > 0 || !redirect {
+			h.hold(ctx, wake, wait)
+			l, ok, n, busy, starvedOf = h.scan(w)
 		}
 	}
 	if !ok && len(starvedOf) > 0 {
@@ -310,7 +343,55 @@ func (h *Hub) lease(w WorkerID) (l Lease, ok, active, starved bool) {
 			c.refreshStarved()
 		}
 	}
-	return l, ok, len(coords) > 0, !ok && !busy && len(starvedOf) > 0
+	return l, ok, n > 0, !ok && !busy && len(starvedOf) > 0
+}
+
+// scan offers the worker each live coordinator's shards in order. n
+// counts the coordinators, busy reports a denial without a constraint,
+// and starvedOf lists the sweeps that denied by constraint.
+func (h *Hub) scan(w WorkerID) (l Lease, ok bool, n int, busy bool, starvedOf []*Coordinator) {
+	coords := h.list()
+	for _, c := range coords {
+		g, granted, constrained := c.leaseScan(w)
+		if granted {
+			return g, true, len(coords), busy, starvedOf
+		}
+		if constrained {
+			starvedOf = append(starvedOf, c)
+		} else {
+			// Denied without a constraint: the sweep's remaining shards
+			// are leased out (or parked) and may come back — retrying
+			// is meaningful, so the worker is not starved.
+			busy = true
+		}
+	}
+	return Lease{}, false, len(coords), busy, starvedOf
+}
+
+// hold parks an empty lease poll for at most min(wait, TTL/3) — short
+// enough that the worker's registry entry stays fresh. It returns
+// early on a hub change signal, at the earliest live lease's expiry
+// (expiry is lazy, so nothing else would announce that shard), when
+// the request ends, or when the hub closes.
+func (h *Hub) hold(ctx context.Context, wake <-chan struct{}, wait time.Duration) {
+	wait = min(wait, h.cfg.ttl()/3)
+	for _, c := range h.list() {
+		if exp, ok := c.nextExpiry(); ok {
+			// expireLocked reclaims strictly after the deadline.
+			wait = min(wait, time.Until(exp)+time.Millisecond)
+		}
+	}
+	if wait <= 0 {
+		return
+	}
+	t := time.NewTimer(wait)
+	defer t.Stop()
+	select {
+	case <-wake:
+	case <-t.C:
+	case <-ctx.Done():
+	case <-h.closed:
+	}
 }
 
 // HubMetrics is the hub's /metrics payload: the shared coordinator
@@ -387,11 +468,13 @@ type leaseRequest struct {
 	// MaxCells caps how many cells the worker accepts per lease
 	// (0 = unlimited) — the resource hint of a small host.
 	MaxCells int `json:"max_cells,omitempty"`
+	// WaitMS is how long the hub may hold a poll that finds no shard
+	// (0 = answer at once).
+	WaitMS int64 `json:"wait_ms,omitempty"`
 }
 
 type leaseResponse struct {
 	Status  string      `json:"status"`
-	RetryMS int64       `json:"retry_ms,omitempty"`
 	Sweep   string      `json:"sweep,omitempty"`
 	Shard   int         `json:"shard,omitempty"`
 	Indexes []int       `json:"indexes,omitempty"`
@@ -442,7 +525,9 @@ type completeResponse struct {
 // Handler serves the coordinator API:
 //
 //	POST /coord/lease              — acquire a shard lease ({"worker": id,
-//	                                 "tags": [...], "max_cells": n})
+//	                                 "tags": [...], "max_cells": n,
+//	                                 "wait_ms": how long an empty poll
+//	                                 may be held})
 //	POST /coord/heartbeat          — renew a lease; "stale" means abandon
 //	POST /coord/complete           — upload a shard's records and ack it
 //	POST /coord/adopt              — adopt orphaned sweeps from a dead peer
@@ -468,7 +553,8 @@ func (h *Hub) Handler() http.Handler {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("coord: %w", err))
 			return
 		}
-		l, ok, active, starved := h.lease(WorkerID{Name: req.Worker, Tags: tags, MaxCells: req.MaxCells})
+		wait := time.Duration(req.WaitMS) * time.Millisecond
+		l, ok, active, starved := h.lease(r.Context(), WorkerID{Name: req.Worker, Tags: tags, MaxCells: req.MaxCells}, wait)
 		var resp leaseResponse
 		switch {
 		case ok:
@@ -481,16 +567,16 @@ func (h *Hub) Handler() http.Handler {
 				TTLMS:   l.TTL.Milliseconds(),
 			}
 		case starved:
-			resp = leaseResponse{Status: statusStarved, RetryMS: 1000}
+			resp = leaseResponse{Status: statusStarved}
 		case active:
-			resp = leaseResponse{Status: statusRetry, RetryMS: 500}
+			resp = leaseResponse{Status: statusRetry}
 		default:
-			resp = leaseResponse{Status: statusIdle, RetryMS: 1000}
+			resp = leaseResponse{Status: statusIdle}
 			// Nothing live here, but a sweep this server declined to
 			// recover is live on its owner: point the idle worker there
 			// instead of letting it poll an empty hub forever.
 			if url, found := h.anyRedirect(); found {
-				resp = leaseResponse{Status: statusRedirect, URL: url, RetryMS: 250}
+				resp = leaseResponse{Status: statusRedirect, URL: url}
 				h.counters.RedirectsServed.Inc()
 			}
 		}

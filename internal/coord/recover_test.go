@@ -93,7 +93,7 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 	srv := httptest.NewServer(hub2.Handler())
 	defer srv.Close()
 	eng := fakeEngine()
-	defer startWorker(t, srv.URL, "w3", eng, 20*time.Millisecond)()
+	defer startWorker(t, srv.URL, "w3", eng)()
 	waitDone(t, d2)
 	final := d2.Progress()
 	if final.State != sweep.StateDone || final.Done != 8 || final.Failed != 0 {
@@ -246,7 +246,7 @@ func TestManagerRecoverServesRecoveredSweep(t *testing.T) {
 
 	srv := httptest.NewServer(hub2.Handler())
 	defer srv.Close()
-	defer startWorker(t, srv.URL, "w9", fakeEngine(), 20*time.Millisecond)()
+	defer startWorker(t, srv.URL, "w9", fakeEngine())()
 	select {
 	case <-run.Done():
 	case <-time.After(60 * time.Second):
@@ -263,25 +263,19 @@ func TestManagerRecoverServesRecoveredSweep(t *testing.T) {
 	}
 }
 
-// TestWorkerPollJitter: poll() spreads a fleet's lease retries across
-// ±25% of the configured interval instead of a lockstep thundering
-// herd.
-func TestWorkerPollJitter(t *testing.T) {
-	cfg := WorkerConfig{Poll: 400 * time.Millisecond}
-	lo, hi := cfg.Poll, cfg.Poll
+// TestWorkerBackoffJitter: backoff() spreads a fleet's retries after
+// a transport error across ±25% of 500ms instead of a lockstep
+// thundering herd.
+func TestWorkerBackoffJitter(t *testing.T) {
+	lo, hi := time.Hour, time.Duration(0)
 	for i := 0; i < 500; i++ {
-		d := cfg.poll()
-		if d < 300*time.Millisecond || d > 500*time.Millisecond {
-			t.Fatalf("poll() = %v, want within ±25%% of 400ms", d)
+		d := backoff()
+		if d < 375*time.Millisecond || d > 625*time.Millisecond {
+			t.Fatalf("backoff() = %v, want within ±25%% of 500ms", d)
 		}
-		if d < lo {
-			lo = d
-		}
-		if d > hi {
-			hi = d
-		}
+		lo, hi = min(lo, d), max(hi, d)
 	}
 	if hi-lo < 50*time.Millisecond {
-		t.Errorf("poll() spread = %v over 500 draws, want meaningful jitter", hi-lo)
+		t.Errorf("backoff() spread = %v over 500 draws, want meaningful jitter", hi-lo)
 	}
 }

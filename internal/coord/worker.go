@@ -41,9 +41,6 @@ type WorkerConfig struct {
 	// Parallelism bounds concurrently submitted cells per shard
 	// (0 = the runner default).
 	Parallelism int
-	// Poll is the sleep between lease attempts when no shard is
-	// available (0 = 500ms).
-	Poll time.Duration
 	// IdleExit, when positive, makes the worker exit cleanly after the
 	// coordinator has reported — for this long — no live sweeps,
 	// nothing this worker's capabilities can serve ("starved"), or
@@ -66,15 +63,21 @@ func (c WorkerConfig) name() string {
 	return fmt.Sprintf("%s-%d", host, os.Getpid())
 }
 
-// poll returns the lease poll interval with ±25% jitter. Without it a
-// fleet of workers released by the same event — an idle coordinator
-// receiving a sweep, a server restart — knocks on /coord/lease in
-// lockstep forever; the jitter spreads each retry wave out.
-func (c WorkerConfig) poll() time.Duration {
-	d := c.Poll
-	if d <= 0 {
-		d = 500 * time.Millisecond
-	}
+// Lease polling. An empty poll is held by the hub until a shard may be
+// leasable, so the worker polls again at once — but never sooner than
+// minPollGap after the previous poll began, so a server that answers
+// without holding cannot make it spin. leaseWait stays below the
+// default client timeout.
+const (
+	leaseWait  = 20 * time.Second
+	minPollGap = 50 * time.Millisecond
+)
+
+// backoff is the pause after a transport error or an abandoned shard:
+// 500ms with ±25% jitter, so a fleet released by one event (a server
+// restart) does not retry in lockstep.
+func backoff() time.Duration {
+	const d = 500 * time.Millisecond
 	return d - d/4 + time.Duration(rand.Int64N(int64(d)/2+1))
 }
 
@@ -121,20 +124,24 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		resp, err := w.lease(ctx)
+		wait := leaseWait
+		if cfg.IdleExit > 0 {
+			// Come back in time to notice the idle budget ran out.
+			left := cfg.IdleExit
+			if !idleSince.IsZero() {
+				left -= time.Since(idleSince)
+			}
+			wait = min(wait, left)
+		}
+		start := time.Now()
+		resp, err := w.lease(ctx, wait)
 		if err == nil {
 			// Fold any advertised sibling into the rotation now, while
 			// this server is still alive to tell us about it.
 			w.addPeer(resp.Peer)
 		}
 		idle := false
-		sleep := cfg.poll()
-		// The coordinator hints how soon polling again is useful
-		// (longer when idle than when shards are merely all leased out);
-		// honor it when it is the more patient of the two.
-		if hint := time.Duration(resp.RetryMS) * time.Millisecond; hint > sleep {
-			sleep = hint
-		}
+		pause := minPollGap - time.Since(start)
 		switch {
 		case err != nil:
 			// Coordinator unreachable: with IdleExit this eventually
@@ -142,6 +149,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 			// already rotated to the next base, if there is one).
 			w.cfg.logf("lease: %v", err)
 			idle = true
+			pause = backoff()
 		case resp.Status == statusRedirect:
 			// This server handed the fleet to a peer (it declined to
 			// recover a sweep the peer owns). Not idleness — the peer
@@ -160,8 +168,9 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 				continue // immediately ask for the next shard
 			}
 			// The shard was abandoned (stale lease, bad spec, failed
-			// upload). Fall through to the poll sleep: leasing again at
-			// HTTP speed would just park every pending shard for a TTL.
+			// upload). Back off: leasing again at HTTP speed would just
+			// park every pending shard for a TTL.
+			pause = backoff()
 		case resp.Status == statusIdle || resp.Status == statusStarved:
 			// Starved means pending work exists that this worker can
 			// never serve with its tags/size hints: for -idle-exit
@@ -170,21 +179,23 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 			// unconstrained work appears.
 			idle = true
 		}
-		if idle && cfg.IdleExit > 0 {
+		if !idle {
+			idleSince = time.Time{}
+		} else if cfg.IdleExit > 0 {
 			if idleSince.IsZero() {
-				idleSince = time.Now()
-			} else if time.Since(idleSince) >= cfg.IdleExit {
+				idleSince = start // the held poll was idle time too
+			}
+			if time.Since(idleSince) >= cfg.IdleExit {
 				w.cfg.logf("idle for %s, exiting", cfg.IdleExit)
 				return nil
 			}
 		}
-		if !idle {
-			idleSince = time.Time{}
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(sleep):
+		if pause > 0 {
+			select {
+			case <-ctx.Done():
+				return ctx.Err()
+			case <-time.After(pause):
+			}
 		}
 	}
 }
@@ -372,9 +383,9 @@ func (w *worker) runShard(ctx context.Context, l Lease) bool {
 	return true
 }
 
-func (w *worker) lease(ctx context.Context) (leaseResponse, error) {
+func (w *worker) lease(ctx context.Context, wait time.Duration) (leaseResponse, error) {
 	var resp leaseResponse
-	err := w.post(ctx, "/coord/lease", leaseRequest{Worker: w.name, Tags: w.tags, MaxCells: w.cfg.MaxCells}, &resp)
+	err := w.post(ctx, "/coord/lease", leaseRequest{Worker: w.name, Tags: w.tags, MaxCells: w.cfg.MaxCells, WaitMS: wait.Milliseconds()}, &resp)
 	return resp, err
 }
 

@@ -37,7 +37,7 @@ func (s *flakyCoordStub) handler() http.Handler {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		if s.leased {
-			writeJSON(w, http.StatusOK, leaseResponse{Status: statusIdle, RetryMS: 10})
+			writeJSON(w, http.StatusOK, leaseResponse{Status: statusIdle})
 			return
 		}
 		s.leased = true
@@ -126,7 +126,6 @@ func TestAbandonedShardUploadRetriesUntilServerRecovers(t *testing.T) {
 		URL:      srv.URL,
 		Name:     "w1",
 		Engine:   engine,
-		Poll:     10 * time.Millisecond,
 		IdleExit: 200 * time.Millisecond,
 		Logf:     t.Logf,
 	})

@@ -170,9 +170,7 @@ func (l *L2) Access(now uint64, addr memory.Addr, wid int, isWrite bool) (done u
 		if evicted && ev.Dirty {
 			l.mem.Service(served, ev.Line, true)
 		}
-		s.Access(addr, wid, served, true)
-		l.stats.Accesses-- // internal touch, not an SM access
-		l.stats.Hits--
+		s.Access(addr, wid, served, true) // counted by the slice only
 		return served + 1, memory.HitL2
 	}
 	fillDone := l.mem.Service(served, addr, false)

@@ -54,6 +54,25 @@ func TestPartitionInterleaving(t *testing.T) {
 	}
 }
 
+// TestWriteMissStats: a write miss counts as one access and one miss;
+// the slice's internal touch that marks the installed line dirty is
+// not an SM access and must not move the L2 counters.
+func TestWriteMissStats(t *testing.T) {
+	l := New(DefaultConfig())
+	now := uint64(0)
+	for i := 0; i < 4; i++ {
+		now, _ = l.Access(now, memory.Addr(0x40000+i*memory.LineSize), 0, true)
+	}
+	l.Access(now, 0x40000, 0, false) // a read hit on a written line
+	s := l.Stats()
+	if s.Accesses != 5 || s.Misses != 4 || s.Hits != 1 {
+		t.Fatalf("stats = %+v, want 5 accesses, 4 misses, 1 hit", s)
+	}
+	if s.Hits > s.Accesses || s.Accesses != s.Hits+s.Misses {
+		t.Fatalf("stats = %+v: want Hits <= Accesses == Hits+Misses", s)
+	}
+}
+
 func TestWriteAllocateNoFetch(t *testing.T) {
 	l := New(DefaultConfig())
 	// A cold coalesced store installs the full line directly without a

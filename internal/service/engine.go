@@ -138,11 +138,14 @@ func (e *Engine) Run(spec Spec) ([]byte, Source, error) {
 		return nil, "", err
 	}
 	key := spec.Key()
+	// The cache lookup and the in-flight check happen under one lock:
+	// a flight fills the cache before it leaves inflight, so a key is
+	// always in one or the other and never simulated twice.
+	e.mu.Lock()
 	if payload, ok := e.cache.Get(key); ok {
+		e.mu.Unlock()
 		return payload, SourceCache, nil
 	}
-
-	e.mu.Lock()
 	if f, ok := e.inflight[key]; ok {
 		e.mu.Unlock()
 		<-f.done

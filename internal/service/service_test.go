@@ -159,6 +159,35 @@ func TestEngineCoalescesConcurrentIdenticalSpecs(t *testing.T) {
 	}
 }
 
+// TestEngineNeverSimulatesAKeyTwice: two callers racing through the
+// same keys must simulate each key once. A caller that misses the
+// cache just as the other's flight lands (cache filled, flight gone)
+// used to start a second flight for the same key.
+func TestEngineNeverSimulatesAKeyTwice(t *testing.T) {
+	const keys = 20000
+	e := NewEngine(Config{Workers: 2, CacheEntries: 2 * keys, Run: func(Spec) ([]byte, error) {
+		return []byte(`{}`), nil
+	}})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 1; i <= keys; i++ {
+				spec := Spec{Experiment: ExpRun, Bench: "SYRK", Sched: "GTO", Options: OptionSpec{Seed: uint64(i)}}
+				if _, _, err := e.Run(spec); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := e.Simulations(); n != keys {
+		t.Fatalf("Simulations() = %d, want %d (one per key)", n, keys)
+	}
+}
+
 func TestEngineDistinctSpecsRunSeparately(t *testing.T) {
 	var calls atomic.Int64
 	e := NewEngine(Config{Workers: 2, Run: countingRunner(&calls)})
