@@ -279,9 +279,11 @@ func BenchmarkCellRun(b *testing.B) {
 	}
 }
 
-// BenchmarkCellCycle times one steady-state simulated cycle: a GPU is
-// built untimed and Step() is measured directly, so allocs/op is the
-// per-cycle allocation count on the hot path (gated at 0 in CI).
+// BenchmarkCellCycle times one steady-state GPU.Advance — a simulated
+// cycle plus any fast-forward over the cycles that replay it, which is
+// Run's loop body. A GPU is built untimed and Advance is measured
+// directly, so allocs/op is the allocation count on the hot path
+// (gated at 0 in CI).
 func BenchmarkCellCycle(b *testing.B) {
 	spec, err := workload.ByName("SYRK")
 	if err != nil {
@@ -294,15 +296,18 @@ func BenchmarkCellCycle(b *testing.B) {
 		return sm.MustGPU(cfg, workload.MustKernel(spec), sched.NewGTO(), nil)
 	}
 	g := newGPU()
+	var cycles uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if g.Done() || g.Cycle() >= g.Config().MaxCycles {
 			b.StopTimer()
+			cycles += g.Cycle()
 			g = newGPU()
 			b.StartTimer()
 		}
-		g.Step()
+		g.Advance()
 	}
+	b.ReportMetric(float64(cycles+g.Cycle())/float64(b.N), "cycles/op")
 }
 
 // BenchmarkSimulatorThroughput measures raw simulation speed

@@ -138,7 +138,9 @@ func (c *CIAO) Attach(g *sm.GPU) {
 	n := g.NumWarps()
 	c.ilist = NewInterferenceList(n)
 	c.pairs = NewPairList(n)
-	c.stalled = c.stalled[:0]
+	// A warp sits on the stall stack at most once unless the deadlock
+	// valve freed it, so n slots keep stall pushes allocation-free.
+	c.stalled = make([]int, 0, n)
 	c.lastHigh, c.lastLow = 0, 0
 	c.highSnapHits = make([]uint64, n)
 	c.highIRS = make([]float64, n)

@@ -1,7 +1,8 @@
 package sched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/sm"
 )
@@ -32,6 +33,7 @@ type CCWS struct {
 	UpdateEpoch uint64
 
 	scores    []float64
+	order     []int // ranking buffer reused every epoch
 	lastCheck uint64
 }
 
@@ -55,6 +57,7 @@ func (s *CCWS) Attach(g *sm.GPU) {
 	for i := range s.scores {
 		s.scores[i] = s.BaseScore
 	}
+	s.order = make([]int, 0, g.NumWarps())
 	s.lastCheck = 0
 }
 
@@ -78,18 +81,18 @@ func (s *CCWS) OnCycle(g *sm.GPU, now uint64) {
 		s.scores[i] = s.BaseScore + (s.scores[i]-s.BaseScore)*s.Decay
 	}
 
-	order := make([]int, 0, g.NumWarps())
+	order := s.order[:0]
 	for i := 0; i < g.NumWarps(); i++ {
 		if !g.Warp(i).Finished {
 			order = append(order, i)
 		}
 	}
 	// Highest locality first; older warps win ties.
-	sort.Slice(order, func(a, b int) bool {
-		if s.scores[order[a]] != s.scores[order[b]] {
-			return s.scores[order[a]] > s.scores[order[b]]
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(s.scores[b], s.scores[a]); c != 0 {
+			return c
 		}
-		return order[a] < order[b]
+		return a - b
 	})
 
 	budget := float64(len(order)) * s.BaseScore
@@ -107,6 +110,11 @@ func (s *CCWS) OnCycle(g *sm.GPU, now uint64) {
 			activated++
 		}
 	}
+}
+
+// NextEvent implements sm.Controller: the next throttle-set refresh.
+func (s *CCWS) NextEvent(g *sm.GPU, now uint64) uint64 {
+	return s.lastCheck + s.UpdateEpoch
 }
 
 // Pick implements sm.Controller.

@@ -39,6 +39,9 @@ func NewLRR() *LRR { return &LRR{} }
 // Name implements sm.Controller.
 func (s *LRR) Name() string { return "LRR" }
 
+// NextEvent implements sm.Controller: the rotation moves every cycle.
+func (s *LRR) NextEvent(g *sm.GPU, now uint64) uint64 { return now + 1 }
+
 // Pick implements sm.Controller.
 func (s *LRR) Pick(g *sm.GPU, now uint64) int {
 	n := g.NumWarps()

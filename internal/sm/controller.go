@@ -28,8 +28,16 @@ type Controller interface {
 	Pick(g *GPU, now uint64) int
 	// MemPath routes warp wid's next global access.
 	MemPath(g *GPU, wid int) MemPath
-	// OnCycle runs once per cycle before issue (epoch bookkeeping).
+	// OnCycle runs before issue on every cycle that GPU.Run does not
+	// skip (epoch bookkeeping). Run skips a cycle only when it would
+	// replay the previous one, and never skips past NextEvent.
 	OnCycle(g *GPU, now uint64)
+	// NextEvent returns the earliest cycle after now at which OnCycle
+	// or Pick may act differently, given that nothing issues or fills
+	// in between. A controller whose OnCycle keys on cycles, or whose
+	// Pick is not greedy-then-oldest (a stalled warp stays picked while
+	// it is issueable), must override Base's "never".
+	NextEvent(g *GPU, now uint64) uint64
 	// OnIssue observes a successful issue.
 	OnIssue(g *GPU, now uint64, wid int, kind workload.InstrKind)
 	// OnVTAHit observes a lost-locality event: interfered warp's miss
@@ -53,6 +61,10 @@ func (Base) MemPath(*GPU, int) MemPath { return PathL1 }
 
 // OnCycle implements Controller.
 func (Base) OnCycle(*GPU, uint64) {}
+
+// NextEvent implements Controller: Base's OnCycle does nothing, and
+// epochs that count instructions cannot fire while nothing issues.
+func (Base) NextEvent(*GPU, uint64) uint64 { return ^uint64(0) }
 
 // OnIssue implements Controller.
 func (Base) OnIssue(*GPU, uint64, int, workload.InstrKind) {}

@@ -201,6 +201,9 @@ func (g *GPU) L1() *cache.Cache { return g.l1 }
 // VTA exposes the victim tag array.
 func (g *GPU) VTA() *cache.VTA { return g.vta }
 
+// MSHR exposes the L1D miss status holding registers.
+func (g *GPU) MSHR() *memory.MSHR { return g.mshr }
+
 // L2 exposes the L2/DRAM subsystem.
 func (g *GPU) L2() *l2.L2 { return g.l2c }
 
@@ -239,13 +242,86 @@ func (g *GPU) Done() bool { return g.finished == len(g.warps) }
 // statistics.
 func (g *GPU) Run() Result {
 	for !g.Done() && g.cycle < g.cfg.MaxCycles {
-		g.Step()
+		g.Advance()
 	}
 	return g.Result()
 }
 
+// Advance runs one Step and then fast-forwards the clock over the
+// cycles that would replay that Step exactly, crediting them with the
+// counters they would have bumped. Every statistic after Advance equals
+// what Steps up to the same cycle would have produced.
+//
+// Two kinds of step repeat. A structural stall (the picked warp's load
+// refused by its MLP budget, the response queue or the MSHR) repeats
+// because GTO-order Pick keeps returning that warp and nothing the
+// refusal checked can change until a fill retires. An idle step (Pick
+// returned -1 and the deadlock valve freed nothing) repeats until a
+// fill retires, a warp's dependency latency expires or the deadlock
+// window closes. Either way the controller's NextEvent, the next
+// time-series sample and MaxCycles also end the skip.
+func (g *GPU) Advance() {
+	now := g.cycle
+	stalls, frees := g.structStalls, g.deadlockFrees
+	_, _, mshrStalls := g.mshr.Stats()
+	wid := g.step()
+	stalled := g.structStalls != stalls
+	if (wid >= 0 && !stalled) || g.deadlockFrees != frees {
+		return // the step changed state, so the next one differs
+	}
+	t := g.skipTarget(now, stalled)
+	if t <= g.cycle {
+		return
+	}
+	if stalled {
+		k := t - g.cycle
+		g.structStalls += k
+		if _, _, s := g.mshr.Stats(); s != mshrStalls {
+			g.mshr.NoteStalls(k)
+		}
+		g.lastIssue = t - 1
+		g.warps[wid].NextReady = t
+	}
+	g.cycle = t
+}
+
+// skipTarget returns the first cycle after now whose Step may differ
+// from the stall or idle Step just run at now.
+func (g *GPU) skipTarget(now uint64, stalled bool) uint64 {
+	t := g.cfg.MaxCycles
+	if g.nextSample < t {
+		t = g.nextSample
+	}
+	// NextReady is a lower bound, which is all a safe skip needs. After
+	// a Step it is also exact, so no skip is cut short: a failed
+	// pop-scan repairs the cached minimum and a push only lowers it.
+	if rc, ok := g.respQ.NextReady(); ok && rc < t {
+		t = rc
+	}
+	if c := g.ctrl.NextEvent(g, now); c < t {
+		t = c
+	}
+	if stalled {
+		return t
+	}
+	for _, id := range g.live {
+		if r := g.warps[id].NextReady; r > now && r < t {
+			t = r
+		}
+	}
+	if g.respQ.Len() == 0 {
+		if d := g.lastIssue + g.cfg.DeadlockWindow + 1; d > now && d < t {
+			t = d
+		}
+	}
+	return t
+}
+
 // Step advances one cycle.
-func (g *GPU) Step() {
+func (g *GPU) Step() { g.step() }
+
+// step advances one cycle and returns the warp Pick chose, or -1.
+func (g *GPU) step() int {
 	now := g.cycle
 
 	// 1. Retire ready fills. NextReady answers the common "nothing in
@@ -282,6 +358,7 @@ func (g *GPU) Step() {
 		g.nextSample = now + g.cfg.SampleInterval
 	}
 	g.cycle++
+	return wid
 }
 
 // freeStalledWarps force-activates stalled warps after a deadlock
@@ -401,7 +478,7 @@ func (g *GPU) load(w *Warp, ins *workload.Instruction, now uint64) bool {
 
 func (g *GPU) loadL1(w *Warp, addrs []memory.Addr, now uint64) bool {
 	if g.mshr.Outstanding()+len(addrs) > g.mshr.Capacity() {
-		g.mshr.NoteStall()
+		g.mshr.NoteStalls(1)
 		return false
 	}
 	misses := 0
@@ -454,7 +531,7 @@ func (g *GPU) loadL1(w *Warp, addrs []memory.Addr, now uint64) bool {
 // cache, including the L1D→shared migration for coherence (§IV-B).
 func (g *GPU) loadShared(w *Warp, addrs []memory.Addr, now uint64) bool {
 	if g.mshr.Outstanding()+len(addrs) > g.mshr.Capacity() {
-		g.mshr.NoteStall()
+		g.mshr.NoteStalls(1)
 		return false
 	}
 	misses, migrations := 0, 0
