@@ -7,6 +7,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/memory"
 )
@@ -61,15 +62,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// line is one cache line's tag state.
-type line struct {
-	valid   bool
-	dirty   bool
-	addr    memory.Addr // line address
-	ownerW  int         // WID of the warp that filled the line
-	lastUse uint64      // cycle of last touch, for LRU
-}
-
 // Eviction records a replaced line: the victim's address and the warp
 // that owned it, plus the warp whose fill evicted it. This is exactly
 // the (address, evictor WID) pair CIAO feeds into the owner's VTA set.
@@ -102,11 +94,25 @@ func (s Stats) HitRate() float64 {
 
 // Cache is a set-associative cache with LRU replacement.
 // The zero value is not usable; construct with New.
+//
+// Tag state is stored as one flat slice per field rather than one
+// struct per line: way w of set s sits at index s*ways+w of each. A
+// lookup therefore compares one contiguous row of tags (an 8-way row
+// is one 64-byte host cache line) and touches lastUse, owner and dirty
+// only for the way it hits or replaces.
 type Cache struct {
-	cfg   Config
-	index memory.SetIndexer
-	sets  [][]line
-	stats Stats
+	cfg  Config
+	bits uint   // log2(number of sets)
+	mask uint64 // number of sets - 1
+
+	// tags holds lineAddr|1 for a valid way and 0 for an invalid one.
+	// Line addresses have their low LineShift bits clear, so the low
+	// bit is free to mark validity.
+	tags    []uint64
+	lastUse []uint64 // cycle of last touch, for LRU
+	owner   []int    // WID of the warp that filled the way
+	dirty   []bool
+	stats   Stats
 }
 
 // New builds a cache from cfg, panicking on invalid geometry (a
@@ -116,33 +122,47 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	nsets := cfg.Sets()
-	var idx memory.SetIndexer
-	if cfg.UseXORHash {
-		idx = memory.NewXORIndexer(uint32(nsets))
-	} else {
-		idx = memory.ModuloIndexer{Sets: uint32(nsets)}
+	n := nsets * cfg.Ways
+	return &Cache{
+		cfg:     cfg,
+		bits:    uint(bits.TrailingZeros(uint(nsets))),
+		mask:    uint64(nsets - 1),
+		tags:    make([]uint64, n),
+		lastUse: make([]uint64, n),
+		owner:   make([]int, n),
+		dirty:   make([]bool, n),
 	}
-	sets := make([][]line, nsets)
-	backing := make([]line, nsets*cfg.Ways)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
-	}
-	return &Cache{cfg: cfg, index: idx, sets: sets}
 }
 
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// Probe checks for a hit without modifying replacement state.
-func (c *Cache) Probe(addr memory.Addr) bool {
-	la := addr.LineAddr()
-	set := c.sets[c.index.SetIndex(la)]
-	for i := range set {
-		if set[i].valid && set[i].addr == la {
-			return true
+// row returns the index of way 0 of the set la maps to, and la's tag.
+func (c *Cache) row(la memory.Addr) (base int, tag uint64) {
+	line := la.LineIndex()
+	var set uint64
+	if c.cfg.UseXORHash {
+		set = uint64(memory.XORFold(line, c.bits))
+	} else {
+		set = line & c.mask
+	}
+	return int(set) * c.cfg.Ways, uint64(la) | 1
+}
+
+// find returns the index of the way holding addr's line, or -1.
+func (c *Cache) find(addr memory.Addr) int {
+	base, tag := c.row(addr.LineAddr())
+	for i, t := range c.tags[base : base+c.cfg.Ways] {
+		if t == tag {
+			return base + i
 		}
 	}
-	return false
+	return -1
+}
+
+// Probe checks for a hit without modifying replacement state.
+func (c *Cache) Probe(addr memory.Addr) bool {
+	return c.find(addr) >= 0
 }
 
 // Access performs a load or store lookup at cycle now for warp wid.
@@ -152,100 +172,91 @@ func (c *Cache) Probe(addr memory.Addr) bool {
 // write-through-no-allocate a store miss does not allocate and a store
 // hit updates the line in place (and is propagated by the caller).
 func (c *Cache) Access(addr memory.Addr, wid int, now uint64, isWrite bool) (hit bool) {
-	la := addr.LineAddr()
-	set := c.sets[c.index.SetIndex(la)]
 	c.stats.Accesses++
-	for i := range set {
-		if set[i].valid && set[i].addr == la {
-			set[i].lastUse = now
-			if isWrite {
-				c.stats.WriteHits++
-				if c.cfg.Write == WriteBackAllocate {
-					set[i].dirty = true
-				}
-			}
-			c.stats.Hits++
-			return true
+	i := c.find(addr)
+	if i < 0 {
+		c.stats.Misses++
+		if isWrite {
+			c.stats.WriteMiss++
+		}
+		return false
+	}
+	c.lastUse[i] = now
+	if isWrite {
+		c.stats.WriteHits++
+		if c.cfg.Write == WriteBackAllocate {
+			c.dirty[i] = true
 		}
 	}
-	c.stats.Misses++
-	if isWrite {
-		c.stats.WriteMiss++
-	}
-	return false
+	c.stats.Hits++
+	return true
 }
 
 // Fill installs the line for warp wid at cycle now, returning the
-// eviction record when a valid line was displaced. Fill of an
-// already-present line refreshes its owner and LRU state (this happens
-// when two warps' misses to the same line were merged in the MSHR).
+// eviction record when a valid line was displaced. The victim is the
+// first invalid way, else the lowest-numbered way with the oldest
+// last use. Fill of an already-present line (two warps' misses to the
+// same line merged in the MSHR) refreshes only its LRU state: the
+// warp that filled it first stays its owner.
 func (c *Cache) Fill(addr memory.Addr, wid int, now uint64) (ev Eviction, evicted bool) {
-	la := addr.LineAddr()
-	si := c.index.SetIndex(la)
-	set := c.sets[si]
+	base, tag := c.row(addr.LineAddr())
 	c.stats.Fills++
-
-	// Already present: refresh.
-	for i := range set {
-		if set[i].valid && set[i].addr == la {
-			set[i].lastUse = now
+	victim := -1
+	for i, t := range c.tags[base : base+c.cfg.Ways] {
+		if t == tag {
+			c.lastUse[base+i] = now
 			return Eviction{}, false
 		}
-	}
-	// Free way.
-	victim := -1
-	for i := range set {
-		if !set[i].valid {
+		if t == 0 && victim < 0 {
 			victim = i
-			break
 		}
 	}
-	// LRU victim.
-	if victim == -1 {
+	if victim < 0 {
+		lru := c.lastUse[base : base+c.cfg.Ways]
 		victim = 0
-		for i := 1; i < len(set); i++ {
-			if set[i].lastUse < set[victim].lastUse {
+		for i := 1; i < len(lru); i++ {
+			if lru[i] < lru[victim] {
 				victim = i
 			}
 		}
+		v := base + victim
 		ev = Eviction{
-			Line:     set[victim].addr,
-			OwnerWID: set[victim].ownerW,
+			Line:     memory.Addr(c.tags[v] &^ 1),
+			OwnerWID: c.owner[v],
 			Evictor:  wid,
-			Dirty:    set[victim].dirty,
+			Dirty:    c.dirty[v],
 		}
 		evicted = true
 		c.stats.Evictions++
 	}
-	set[victim] = line{valid: true, addr: la, ownerW: wid, lastUse: now}
+	v := base + victim
+	c.tags[v], c.lastUse[v], c.owner[v], c.dirty[v] = tag, now, wid, false
 	return ev, evicted
+}
+
+// clearWay invalidates way i.
+func (c *Cache) clearWay(i int) {
+	c.tags[i], c.lastUse[i], c.owner[i], c.dirty[i] = 0, 0, 0, false
 }
 
 // Invalidate removes the line if present, returning whether it was
 // present and dirty. CIAO uses this when migrating a line from L1D to
 // the shared-memory cache (the single-copy coherence rule of §III-B).
 func (c *Cache) Invalidate(addr memory.Addr) (present, dirty bool) {
-	la := addr.LineAddr()
-	set := c.sets[c.index.SetIndex(la)]
-	for i := range set {
-		if set[i].valid && set[i].addr == la {
-			present, dirty = true, set[i].dirty
-			set[i] = line{}
-			c.stats.Invalidates++
-			return present, dirty
-		}
+	i := c.find(addr)
+	if i < 0 {
+		return false, false
 	}
-	return false, false
+	dirty = c.dirty[i]
+	c.clearWay(i)
+	c.stats.Invalidates++
+	return true, dirty
 }
 
 // Owner returns the WID that filled the line, if present.
 func (c *Cache) Owner(addr memory.Addr) (wid int, ok bool) {
-	la := addr.LineAddr()
-	set := c.sets[c.index.SetIndex(la)]
-	for i := range set {
-		if set[i].valid && set[i].addr == la {
-			return set[i].ownerW, true
-		}
+	if i := c.find(addr); i >= 0 {
+		return c.owner[i], true
 	}
 	return 0, false
 }
@@ -258,13 +269,11 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // Flush invalidates every line and returns how many were dirty.
 func (c *Cache) Flush() (dirtyLines int) {
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			if c.sets[si][wi].valid && c.sets[si][wi].dirty {
-				dirtyLines++
-			}
-			c.sets[si][wi] = line{}
+	for i, t := range c.tags {
+		if t != 0 && c.dirty[i] {
+			dirtyLines++
 		}
+		c.clearWay(i)
 	}
 	return dirtyLines
 }
@@ -272,11 +281,9 @@ func (c *Cache) Flush() (dirtyLines int) {
 // OccupiedLines reports how many lines are currently valid.
 func (c *Cache) OccupiedLines() int {
 	n := 0
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			if c.sets[si][wi].valid {
-				n++
-			}
+	for _, t := range c.tags {
+		if t != 0 {
+			n++
 		}
 	}
 	return n

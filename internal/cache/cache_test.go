@@ -96,6 +96,11 @@ func TestFillExistingLineRefreshes(t *testing.T) {
 	if c.OccupiedLines() != 1 {
 		t.Fatalf("occupied = %d, want 1", c.OccupiedLines())
 	}
+	// The refill refreshes LRU state only: the first filler stays the
+	// owner that an eviction of the line will report.
+	if wid, ok := c.Owner(0x40); !ok || wid != 1 {
+		t.Fatalf("Owner after second Fill = (%d,%v), want (1,true)", wid, ok)
+	}
 }
 
 func TestWritePolicies(t *testing.T) {

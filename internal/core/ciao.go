@@ -203,7 +203,7 @@ func (c *CIAO) MemPath(g *sm.GPU, wid int) sm.MemPath {
 
 // Pick implements sm.Controller.
 func (c *CIAO) Pick(g *sm.GPU, now uint64) int {
-	return c.PickGTO(g, now, sm.EligibleOrBarrierBoosted(g))
+	return c.PickGTO(g, now, sm.ActiveOrBarrierBoosted)
 }
 
 // OnCycle runs the epoch machinery. Epochs are measured in executed

@@ -206,5 +206,5 @@ type passthrough struct {
 func (p *passthrough) Name() string { return "passthrough" }
 
 func (p *passthrough) Pick(g *sm.GPU, now uint64) int {
-	return p.PickGTO(g, now, func(*sm.Warp) bool { return true })
+	return p.PickGTO(g, now, sm.AllWarps)
 }

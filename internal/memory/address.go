@@ -9,7 +9,10 @@
 // reuse distance theory", HPCA 2014).
 package memory
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Addr is a global memory byte address.
 type Addr uint64
@@ -33,29 +36,16 @@ func (a Addr) Offset() uint32 { return uint32(a) & (LineSize - 1) }
 // String renders the address in hex.
 func (a Addr) String() string { return fmt.Sprintf("0x%x", uint64(a)) }
 
-// SetIndexer maps a line address to a cache set. Implementations must
-// be pure functions of the address.
-type SetIndexer interface {
-	// SetIndex returns the set for the given address; the result must
-	// be in [0, NumSets()).
-	SetIndex(a Addr) uint32
-	// NumSets reports how many sets the indexer distributes over.
-	NumSets() uint32
-}
-
 // ModuloIndexer is the conventional power-of-two modulo set indexing:
 // set = (addr >> lineShift) mod numSets.
 type ModuloIndexer struct {
 	Sets uint32
 }
 
-// SetIndex implements SetIndexer.
+// SetIndex returns the set for the given address, in [0, Sets).
 func (m ModuloIndexer) SetIndex(a Addr) uint32 {
 	return uint32(a.LineIndex()) & (m.Sets - 1)
 }
-
-// NumSets implements SetIndexer.
-func (m ModuloIndexer) NumSets() uint32 { return m.Sets }
 
 // XORIndexer implements the XOR-based set-index hashing the paper adds
 // to both L1D and L2 ("we enhance the baseline L1D and L2 caches with a
@@ -64,43 +54,38 @@ func (m ModuloIndexer) NumSets() uint32 { return m.Sets }
 // consecutive index-width bit groups of the line number, which spreads
 // power-of-two strides across sets.
 type XORIndexer struct {
-	Sets uint32 // must be a power of two
-	bits uint32 // log2(Sets), computed lazily
+	Sets uint32 // a power of two
+	bits uint   // log2(Sets)
 }
 
 // NewXORIndexer returns an XORIndexer over sets, which must be a
 // power of two.
-func NewXORIndexer(sets uint32) *XORIndexer {
+func NewXORIndexer(sets uint32) XORIndexer {
 	if sets == 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("memory: XORIndexer sets %d is not a power of two", sets))
 	}
-	return &XORIndexer{Sets: sets, bits: log2u32(sets)}
+	return XORIndexer{Sets: sets, bits: uint(bits.TrailingZeros32(sets))}
 }
 
-// SetIndex implements SetIndexer.
-func (x *XORIndexer) SetIndex(a Addr) uint32 {
-	if x.bits == 0 {
-		x.bits = log2u32(x.Sets)
-	}
-	line := a.LineIndex()
-	mask := uint64(x.Sets - 1)
-	idx := uint64(0)
-	// Fold the line number into the index width, XORing each group.
-	for line != 0 {
-		idx ^= line & mask
-		line >>= x.bits
-	}
-	return uint32(idx)
+// SetIndex returns the set for the given address, in [0, Sets). It is
+// a pure function of the address.
+func (x XORIndexer) SetIndex(a Addr) uint32 {
+	return XORFold(a.LineIndex(), x.bits)
 }
 
-// NumSets implements SetIndexer.
-func (x *XORIndexer) NumSets() uint32 { return x.Sets }
-
-func log2u32(v uint32) uint32 {
-	var n uint32
-	for v > 1 {
-		v >>= 1
-		n++
+// XORFold folds a line number into a set index width bits wide by
+// XORing all of its consecutive width-bit groups together. It is a
+// prefix XOR by doubling: each step XORs the value with itself shifted
+// by twice the previous distance, so afterwards bit i holds the XOR of
+// bits i, i+width, i+2·width, … This takes log2(64/width) fixed steps
+// (3 to 6 for the cache geometries here) where a group-by-group loop
+// takes one iteration per nonzero group of the line number.
+func XORFold(line uint64, width uint) uint32 {
+	if width == 0 {
+		return 0 // a single set
 	}
-	return n
+	for s := width; s < 64; s <<= 1 {
+		line ^= line >> s
+	}
+	return uint32(line & (1<<width - 1))
 }

@@ -1,6 +1,7 @@
 package memory
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -91,6 +92,38 @@ func TestXORIndexerSpreadsPowerOfTwoStrides(t *testing.T) {
 	}
 	if len(xorSets) < sets/2 {
 		t.Errorf("XOR hashing spread only %d/%d sets for power-of-two stride", len(xorSets), sets)
+	}
+}
+
+// TestXORFoldMatchesGroupLoop compares the doubling fold with the
+// direct definition, one XOR per index-width group of the line number,
+// for every power-of-two set count from 1 to 2^16.
+func TestXORFoldMatchesGroupLoop(t *testing.T) {
+	groupLoop := func(line uint64, width uint) uint32 {
+		mask := uint64(1)<<width - 1
+		idx := uint64(0)
+		for ; line != 0 && width != 0; line >>= width {
+			idx ^= line & mask
+		}
+		return uint32(idx)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for width := uint(0); width <= 16; width++ {
+		lines := []uint64{0, ^uint64(0), ^uint64(0) >> LineShift}
+		for i := 0; i < 1000; i++ {
+			lines = append(lines, rng.Uint64()>>(rng.Intn(64)))
+		}
+		x := NewXORIndexer(1 << width)
+		for _, line := range lines {
+			want := groupLoop(line, width)
+			if got := XORFold(line, width); got != want {
+				t.Fatalf("XORFold(%#x, %d) = %#x, want %#x", line, width, got, want)
+			}
+			a := Addr(line << LineShift)
+			if got, want := x.SetIndex(a), groupLoop(a.LineIndex(), width); got != want {
+				t.Fatalf("sets=%d: SetIndex(%s) = %#x, want %#x", 1<<width, a, got, want)
+			}
+		}
 	}
 }
 

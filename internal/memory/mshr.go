@@ -19,12 +19,6 @@ type MSHREntry struct {
 	SharedAddr uint32
 	// SharedValid reports whether SharedAddr is meaningful.
 	SharedValid bool
-	// ResponsePtr, when ResponseValid, points at a response-queue slot
-	// holding the single data copy migrated out of L1D (the paper's
-	// L1D→shared-memory migration path).
-	ResponsePtr int
-	// ResponseValid reports whether ResponsePtr is meaningful.
-	ResponseValid bool
 }
 
 // MSHR is a miss status holding register file: a bounded table of

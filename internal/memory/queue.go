@@ -19,71 +19,71 @@ type Event struct {
 // L1↔L2 interconnect or the response queue in Figure 7a.
 //
 // Ordering guarantee: among events that are ready at a given cycle,
-// PopReady/PeekReady/Drain serve them strictly in insertion (FIFO)
-// order; an unready event never blocks a ready one behind it. This is
-// the property the SM fill path relies on for deterministic replay —
-// two fills ready on the same cycle always retire in issue order.
+// PopReady serves them strictly in insertion (FIFO) order; an unready
+// event never blocks a ready one behind it. This is the property the
+// SM fill path relies on for deterministic replay — two fills ready on
+// the same cycle always retire in issue order.
 //
-// The queue is a ring buffer with a cached ReadyCycle lower bound, so
-// the common quiescent case ("is anything ready yet?") is answered in
-// O(1) via NextReady without scanning: an idle queue costs the cycle
-// loop one comparison per cycle. The bound is maintained lazily:
-// removals never rescan (a removal cannot lower the true minimum, so
-// the bound stays valid, merely stale-low), and the first unsuccessful
-// ready-scan repairs it exactly for free.
+// Events stay in fixed slots. A separate key array, sorted by
+// (ReadyCycle, insertion sequence), orders them, so the per-cycle
+// questions read only keys: NextReady is keys[0] and exact at all
+// times, and PopReady fails in O(1) when keys[0] is not yet ready.
+//
+// keys is a window that slides forward through keyBuf: popping the
+// front key (the usual case) advances the window instead of moving the
+// keys behind it. A push that reaches the end of keyBuf moves the
+// window back to its start; keyBuf holds twice the capacity, so that
+// happens at most once per capacity pushes.
 type LatencyQueue struct {
 	name     string
 	capacity int
-	buf      []Event // ring storage
-	head     int     // index of the oldest event
-	n        int     // live event count
-	minReady uint64  // lower bound on min ReadyCycle; valid when n > 0
-	pushes   uint64
+	slots    []Event    // event storage, addressed by queueKey.slot
+	keys     []queueKey // live events sorted by (ready, seq)
+	keyBuf   []queueKey // backing array of keys
+	free     []int      // unused slot indices
+	pushes   uint64     // also the next event's sequence number
 	fullHits uint64
 }
 
+// queueKey orders one queued event.
+type queueKey struct {
+	ready uint64 // the event's ReadyCycle
+	seq   uint64 // insertion order, for FIFO among ready events
+	slot  int
+}
+
 // NewLatencyQueue returns a queue with the given capacity; capacity <= 0
-// means unbounded. Bounded queues preallocate their ring so the steady
-// state never allocates.
+// means unbounded. Bounded queues preallocate their slots, keys and
+// free list so the steady state never allocates.
 func NewLatencyQueue(name string, capacity int) *LatencyQueue {
 	q := &LatencyQueue{name: name, capacity: capacity}
 	if capacity > 0 {
-		q.buf = make([]Event, capacity)
+		q.slots = make([]Event, capacity)
+		q.keyBuf = make([]queueKey, 2*capacity)
+		q.free = make([]int, 0, capacity)
 	}
+	q.freeAll()
 	return q
+}
+
+// freeAll empties the queue, marking every slot unused.
+func (q *LatencyQueue) freeAll() {
+	q.keys = q.keyBuf[:0]
+	q.free = q.free[:0]
+	for i := len(q.slots) - 1; i >= 0; i-- {
+		q.free = append(q.free, i)
+	}
 }
 
 // Name returns the queue's diagnostic name.
 func (q *LatencyQueue) Name() string { return q.name }
 
 // Len reports the number of queued events.
-func (q *LatencyQueue) Len() int { return q.n }
+func (q *LatencyQueue) Len() int { return len(q.keys) }
 
 // Full reports whether the queue cannot accept another event.
 func (q *LatencyQueue) Full() bool {
-	return q.capacity > 0 && q.n >= q.capacity
-}
-
-// idx maps a logical position (0 = oldest) to a ring index.
-func (q *LatencyQueue) idx(pos int) int {
-	i := q.head + pos
-	if i >= len(q.buf) {
-		i -= len(q.buf)
-	}
-	return i
-}
-
-// grow doubles the ring of an unbounded queue, unwrapping it.
-func (q *LatencyQueue) grow() {
-	size := len(q.buf) * 2
-	if size == 0 {
-		size = 16
-	}
-	buf := make([]Event, size)
-	for pos := 0; pos < q.n; pos++ {
-		buf[pos] = q.buf[q.idx(pos)]
-	}
-	q.buf, q.head = buf, 0
+	return q.capacity > 0 && len(q.keys) >= q.capacity
 }
 
 // Push enqueues ev; it reports false (and counts a structural stall)
@@ -93,124 +93,63 @@ func (q *LatencyQueue) Push(ev Event) bool {
 		q.fullHits++
 		return false
 	}
-	if q.n == len(q.buf) {
-		q.grow()
+	var slot int
+	if n := len(q.free); n > 0 {
+		slot = q.free[n-1]
+		q.free = q.free[:n-1]
+		q.slots[slot] = ev
+	} else { // unbounded and every slot in use
+		slot = len(q.slots)
+		q.slots = append(q.slots, ev)
 	}
-	q.buf[q.idx(q.n)] = ev
-	if q.n == 0 || ev.ReadyCycle < q.minReady {
-		q.minReady = ev.ReadyCycle
+	if len(q.keys) == cap(q.keys) {
+		if cap(q.keys) == cap(q.keyBuf) { // unbounded and full: grow
+			q.keyBuf = make([]queueKey, 2*len(q.keys)+16)
+		}
+		q.keys = q.keyBuf[:copy(q.keyBuf, q.keys)] // rewind to the start
 	}
-	q.n++
+	// The new key has the largest seq, so it goes after every key with
+	// the same or an earlier ReadyCycle. Pushes arrive in nearly
+	// ReadyCycle order, so the walk from the tail is short.
+	i := len(q.keys)
+	q.keys = q.keys[:i+1]
+	for i > 0 && q.keys[i-1].ready > ev.ReadyCycle {
+		q.keys[i] = q.keys[i-1]
+		i--
+	}
+	q.keys[i] = queueKey{ready: ev.ReadyCycle, seq: q.pushes, slot: slot}
 	q.pushes++
 	return true
 }
 
-// NextReady returns a lower bound on the earliest ReadyCycle among
-// queued events in O(1), letting the cycle loop skip a quiescent queue
-// entirely: no event is consumable before the returned cycle. The
-// bound may be stale-low after removals; consumers that pop until
-// failure (the SM fill path) pay at most one extra scan, which itself
-// restores exactness. ok is false when the queue is empty.
+// NextReady returns the earliest ReadyCycle among queued events: no
+// event is consumable before it, and one is consumable at it. ok is
+// false when the queue is empty.
 func (q *LatencyQueue) NextReady() (cycle uint64, ok bool) {
-	return q.minReady, q.n > 0
-}
-
-// removeAt deletes the event at logical position pos, preserving FIFO
-// order by shifting the head side forward (ready events cluster near
-// the head, so the shift distance is typically short). The cached
-// bound is deliberately not recomputed: removing an event can only
-// raise the true minimum, so the bound stays a valid lower bound, and
-// the next unsuccessful ready-scan repairs it at no extra cost. This
-// makes retiring k fills O(k + n) amortised instead of the O(k·n) the
-// old eager recompute paid.
-func (q *LatencyQueue) removeAt(pos int) Event {
-	i := q.idx(pos)
-	ev := q.buf[i]
-	for p := pos; p > 0; p-- {
-		q.buf[q.idx(p)] = q.buf[q.idx(p-1)]
+	if len(q.keys) == 0 {
+		return 0, false
 	}
-	q.buf[q.head] = Event{}
-	q.head = q.idx(1)
-	q.n--
-	return ev
+	return q.keys[0].ready, true
 }
 
 // PopReady dequeues and returns the oldest event whose ReadyCycle has
-// arrived, or ok=false when none is ready. FIFO order is preserved
-// among ready events. The nothing-ready case is O(1) via the cached
-// bound once it is exact; an unsuccessful scan has seen every live
-// event, so it re-establishes the exact minimum as a side effect.
+// arrived, or ok=false when none is ready. The ready events are a
+// prefix of the key array; the one pushed first among them is served.
 func (q *LatencyQueue) PopReady(now uint64) (ev Event, ok bool) {
-	if q.n == 0 || q.minReady > now {
+	if len(q.keys) == 0 || q.keys[0].ready > now {
 		return Event{}, false
 	}
-	min := ^uint64(0)
-	for pos := 0; pos < q.n; pos++ {
-		rc := q.buf[q.idx(pos)].ReadyCycle
-		if rc <= now {
-			return q.removeAt(pos), true
-		}
-		if rc < min {
-			min = rc
+	best := 0
+	for i := 1; i < len(q.keys) && q.keys[i].ready <= now; i++ {
+		if q.keys[i].seq < q.keys[best].seq {
+			best = i
 		}
 	}
-	q.minReady = min
-	return Event{}, false
-}
-
-// PeekReady returns (without removing) the oldest ready event. Like
-// PopReady, a miss repairs the cached bound exactly.
-func (q *LatencyQueue) PeekReady(now uint64) (ev Event, ok bool) {
-	if q.n == 0 || q.minReady > now {
-		return Event{}, false
-	}
-	min := ^uint64(0)
-	for pos := 0; pos < q.n; pos++ {
-		e := q.buf[q.idx(pos)]
-		if e.ReadyCycle <= now {
-			return e, true
-		}
-		if e.ReadyCycle < min {
-			min = e.ReadyCycle
-		}
-	}
-	q.minReady = min
-	return Event{}, false
-}
-
-// Drain pops every event ready at cycle now, in FIFO-among-ready
-// order, invoking fn on each. It returns the number drained. Events
-// fn's side effects push onto the queue during the drain are served in
-// the same pass when already ready (matching a pop loop's semantics).
-func (q *LatencyQueue) Drain(now uint64, fn func(Event)) int {
-	drained := 0
-	for {
-		ev, ok := q.PopReady(now)
-		if !ok {
-			return drained
-		}
-		drained++
-		fn(ev)
-	}
-}
-
-// Remove deletes the event at logical position i (0 = oldest). It is
-// used by the CIAO migration path, which plucks a specific
-// response-queue slot.
-func (q *LatencyQueue) Remove(i int) Event {
-	return q.removeAt(i)
-}
-
-// FindLine returns the logical position of the first queued event
-// whose Line matches, or -1.
-func (q *LatencyQueue) FindLine(line Addr) int {
-	line = line.LineAddr()
-	for pos := 0; pos < q.n; pos++ {
-		if q.buf[q.idx(pos)].Line == line {
-			return pos
-		}
-	}
-	return -1
+	slot := q.keys[best].slot
+	copy(q.keys[1:best+1], q.keys[:best])
+	q.keys = q.keys[1:]
+	q.free = append(q.free, slot)
+	return q.slots[slot], true
 }
 
 // Stats reports cumulative pushes and full-queue rejections.
@@ -220,9 +159,6 @@ func (q *LatencyQueue) Stats() (pushes, fullRejections uint64) {
 
 // Reset empties the queue and clears statistics.
 func (q *LatencyQueue) Reset() {
-	for i := range q.buf {
-		q.buf[i] = Event{}
-	}
-	q.head, q.n, q.minReady = 0, 0, 0
+	q.freeAll()
 	q.pushes, q.fullHits = 0, 0
 }

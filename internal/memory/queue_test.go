@@ -62,35 +62,6 @@ func TestLatencyQueueCapacity(t *testing.T) {
 	}
 }
 
-func TestLatencyQueueFindAndRemove(t *testing.T) {
-	q := NewLatencyQueue("test", 0)
-	q.Push(Event{Line: 0x100, ReadyCycle: 1})
-	q.Push(Event{Line: 0x200, ReadyCycle: 2})
-
-	i := q.FindLine(0x240) // same line as 0x200
-	if i < 0 {
-		t.Fatal("FindLine failed to locate line")
-	}
-	ev := q.Remove(i)
-	if ev.Line != 0x200 {
-		t.Fatalf("removed line %s, want 0x200", ev.Line)
-	}
-	if q.FindLine(0x200) != -1 {
-		t.Fatal("line still present after Remove")
-	}
-}
-
-func TestLatencyQueuePeekDoesNotRemove(t *testing.T) {
-	q := NewLatencyQueue("test", 0)
-	q.Push(Event{Line: 7, ReadyCycle: 0})
-	if _, ok := q.PeekReady(0); !ok {
-		t.Fatal("peek missed ready event")
-	}
-	if q.Len() != 1 {
-		t.Fatal("peek removed the event")
-	}
-}
-
 func TestLatencyQueueReset(t *testing.T) {
 	q := NewLatencyQueue("test", 1)
 	q.Push(Event{Line: 7})
@@ -116,54 +87,22 @@ func TestLatencyQueueNextReady(t *testing.T) {
 	if rc, ok := q.NextReady(); !ok || rc != 10 {
 		t.Fatalf("NextReady = %d,%v, want 10,true", rc, ok)
 	}
-	// Popping the minimum event leaves the cached bound stale-low: it
-	// must stay a valid lower bound (nothing consumable before it), but
-	// it is not recomputed eagerly.
+	// NextReady stays exact as events leave: after the minimum is
+	// popped it names the next one, and nothing is consumable before it.
 	if ev, ok := q.PopReady(15); !ok || ev.Line != 0x200 {
 		t.Fatalf("PopReady(15) = %+v,%v, want line 0x200", ev, ok)
 	}
-	if rc, ok := q.NextReady(); !ok || rc > 20 {
-		t.Fatalf("after pop, NextReady = %d,%v, want a lower bound <= 20", rc, ok)
+	if rc, ok := q.NextReady(); !ok || rc != 20 {
+		t.Fatalf("after pop, NextReady = %d,%v, want 20,true", rc, ok)
 	}
-	// Nothing is consumable before the true minimum, and the failed
-	// scan repairs the bound exactly.
 	if _, ok := q.PopReady(19); ok {
 		t.Fatal("PopReady before the true minimum succeeded")
 	}
-	if rc, ok := q.NextReady(); !ok || rc != 20 {
-		t.Fatalf("after failed pop, NextReady = %d,%v, want exact 20,true", rc, ok)
-	}
-}
-
-func TestLatencyQueueLazyMinRepair(t *testing.T) {
-	q := NewLatencyQueue("t", 0)
-	q.Push(Event{Line: 0x100, ReadyCycle: 5})
-	q.Push(Event{Line: 0x200, ReadyCycle: 40})
-	q.Push(Event{Line: 0x300, ReadyCycle: 30})
-
-	// Remove (the CIAO migration path) also leaves the bound lazy.
-	if ev := q.Remove(0); ev.Line != 0x100 {
-		t.Fatalf("Remove(0) = %+v, want line 0x100", ev)
-	}
-	if rc, ok := q.NextReady(); !ok || rc > 30 {
-		t.Fatalf("after remove, NextReady = %d,%v, want bound <= 30", rc, ok)
-	}
-	// A missed peek sees every event and restores exactness too.
-	if _, ok := q.PeekReady(29); ok {
-		t.Fatal("PeekReady(29) found an event before the true minimum")
+	if ev, ok := q.PopReady(20); !ok || ev.Line != 0x300 {
+		t.Fatalf("PopReady(20) = %+v,%v, want line 0x300", ev, ok)
 	}
 	if rc, ok := q.NextReady(); !ok || rc != 30 {
-		t.Fatalf("after failed peek, NextReady = %d,%v, want exact 30,true", rc, ok)
-	}
-	// The repaired bound serves pops correctly.
-	if ev, ok := q.PopReady(30); !ok || ev.Line != 0x300 {
-		t.Fatalf("PopReady(30) = %+v,%v, want line 0x300", ev, ok)
-	}
-	if ev, ok := q.PopReady(40); !ok || ev.Line != 0x200 {
-		t.Fatalf("PopReady(40) = %+v,%v, want line 0x200", ev, ok)
-	}
-	if _, ok := q.NextReady(); ok {
-		t.Fatal("empty queue reported a ready cycle")
+		t.Fatalf("after second pop, NextReady = %d,%v, want 30,true", rc, ok)
 	}
 }
 
@@ -174,9 +113,15 @@ func TestLatencyQueueDrain(t *testing.T) {
 	q.Push(Event{Line: 0x300, ReadyCycle: 5})
 	q.Push(Event{Line: 0x400, ReadyCycle: 7})
 	var got []Addr
-	n := q.Drain(10, func(ev Event) { got = append(got, ev.Line) })
-	if n != 3 || len(got) != 3 {
-		t.Fatalf("Drain = %d events, want 3", n)
+	for {
+		ev, ok := q.PopReady(10)
+		if !ok {
+			break
+		}
+		got = append(got, ev.Line)
+	}
+	if len(got) != 3 {
+		t.Fatalf("drained %d events, want 3", len(got))
 	}
 	// FIFO among ready: 0x100 and 0x300 (cycle 5) retire in push order,
 	// then 0x400; the unready 0x200 never blocks them.
@@ -191,9 +136,9 @@ func TestLatencyQueueDrain(t *testing.T) {
 	}
 }
 
-// TestLatencyQueueWraparound pushes and pops past the ring's physical
-// end so the head wraps, checking FIFO order and the cached minimum
-// survive the seam.
+// TestLatencyQueueWraparound pushes and pops more events than the
+// queue has slots, so slots are reused and the key window rewinds,
+// checking FIFO order and NextReady across both.
 func TestLatencyQueueWraparound(t *testing.T) {
 	q := NewLatencyQueue("t", 4)
 	next := Addr(0)

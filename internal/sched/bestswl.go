@@ -42,7 +42,7 @@ func (s *BestSWL) Attach(g *sm.GPU) {
 
 // Pick implements sm.Controller.
 func (s *BestSWL) Pick(g *sm.GPU, now uint64) int {
-	return s.PickGTO(g, now, sm.EligibleOrBarrierBoosted(g))
+	return s.PickGTO(g, now, sm.ActiveOrBarrierBoosted)
 }
 
 // OnWarpFinished activates the next stalled warp when an active one

@@ -119,7 +119,7 @@ func (s *CCWS) NextEvent(g *sm.GPU, now uint64) uint64 {
 
 // Pick implements sm.Controller.
 func (s *CCWS) Pick(g *sm.GPU, now uint64) int {
-	return s.PickGTO(g, now, sm.EligibleOrBarrierBoosted(g))
+	return s.PickGTO(g, now, sm.ActiveOrBarrierBoosted)
 }
 
 // Score exposes a warp's current lost-locality score, for tests.

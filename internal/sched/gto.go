@@ -23,7 +23,7 @@ func (s *GTO) Name() string { return "GTO" }
 
 // Pick implements sm.Controller.
 func (s *GTO) Pick(g *sm.GPU, now uint64) int {
-	return s.PickGTO(g, now, func(*sm.Warp) bool { return true })
+	return s.PickGTO(g, now, sm.AllWarps)
 }
 
 // LRR is a loose round-robin scheduler, provided as an extra baseline

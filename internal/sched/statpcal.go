@@ -129,7 +129,7 @@ func (s *StatPCAL) NextEvent(g *sm.GPU, now uint64) uint64 {
 // Pick schedules token warps always; non-token warps only while they
 // hold a bypass grant (or their CTA is stuck at a barrier).
 func (s *StatPCAL) Pick(g *sm.GPU, now uint64) int {
-	return s.PickGTO(g, now, sm.EligibleOrBarrierBoosted(g))
+	return s.PickGTO(g, now, sm.ActiveOrBarrierBoosted)
 }
 
 // MemPath sends non-token warps around L1D.

@@ -14,7 +14,7 @@ import (
 // TestSteadyStateCycleAllocs pins the hot-path guarantee: once a
 // simulation is warmed up, Advance — a cycle plus any fast-forward —
 // performs zero heap allocations under every Figure 8 controller. The
-// response queue is a preallocated ring, MSHR entries are pooled,
+// response queue preallocates its slots and keys, MSHR entries are pooled,
 // warps hand out instructions from their batch buffers, the stream
 // generator reads precompiled phase constants and controllers reuse
 // their epoch buffers. The count is the total over a window spanning
@@ -35,8 +35,8 @@ func TestSteadyStateCycleAllocs(t *testing.T) {
 		cfg.SampleInterval = 0 // the sampled time series may grow; exclude it
 		cfg.EnableSharedCache = f.NeedsSharedCache
 		g := sm.MustGPU(cfg, workload.MustKernel(spec), f.New(), nil)
-		// Warm up: fill the MSHR pool's working set, wrap the response
-		// ring, populate caches.
+		// Warm up: fill the MSHR pool's working set, cycle the response
+		// queue's slots, populate caches.
 		for g.Cycle() < 5000 && !g.Done() {
 			g.Advance()
 		}

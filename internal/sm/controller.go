@@ -84,36 +84,54 @@ type GreedyThenOldest struct {
 	current int
 }
 
-// PickGTO returns the GTO choice among issueable warps for which
-// eligible(w) holds, or -1. The V flag is NOT consulted here — the
-// eligibility predicate owns the throttling decision, which lets
+// Eligibility selects which issueable warps PickGTO may choose. The
+// V flag is consulted only through it, which lets throttling
 // schedulers grant a barrier boost to stalled warps whose CTA is
 // blocked (see GPU.CTABarrierPending).
-func (g *GreedyThenOldest) PickGTO(gpu *GPU, now uint64, eligible func(*Warp) bool) int {
-	if g.current >= 0 && g.current < gpu.NumWarps() {
-		w := gpu.Warp(g.current)
-		if w.Issueable(now) && eligible(w) {
+type Eligibility uint8
+
+// Eligibility rules.
+const (
+	// AllWarps ignores the V flag: every issueable warp may run.
+	AllWarps Eligibility = iota
+	// ActiveOnly admits only active (V=1) warps.
+	ActiveOnly
+	// ActiveOrBarrierBoosted is the standard rule for throttling
+	// schedulers: active warps run; stalled warps run only when their
+	// CTA has warps waiting at a barrier (which all threads must
+	// reach).
+	ActiveOrBarrierBoosted
+)
+
+// admits reports whether e lets warp w issue.
+func (e Eligibility) admits(gpu *GPU, w *Warp) bool {
+	switch e {
+	case ActiveOnly:
+		return w.V
+	case ActiveOrBarrierBoosted:
+		return w.V || gpu.CTABarrierPending(w.CTA)
+	}
+	return true
+}
+
+// PickGTO returns the GTO choice among issueable warps that e admits,
+// or -1.
+func (g *GreedyThenOldest) PickGTO(gpu *GPU, now uint64, e Eligibility) int {
+	if g.current >= 0 && g.current < len(gpu.warps) {
+		w := &gpu.warps[g.current]
+		if w.Issueable(now) && e.admits(gpu, w) {
 			return g.current
 		}
 	}
 	// The live list is ascending, so this is the same oldest-first
 	// order as scanning 0..NumWarps — minus the finished warps, which
 	// are never issueable anyway.
-	for _, i := range gpu.LiveWarpIDs() {
-		w := gpu.Warp(i)
-		if w.Issueable(now) && eligible(w) {
+	for _, i := range gpu.live {
+		w := &gpu.warps[i]
+		if w.Issueable(now) && e.admits(gpu, w) {
 			g.current = i
 			return i
 		}
 	}
 	return -1
-}
-
-// EligibleOrBarrierBoosted is the standard eligibility for throttling
-// schedulers: active warps run; stalled warps run only when their CTA
-// has warps waiting at a barrier (which all threads must reach).
-func EligibleOrBarrierBoosted(gpu *GPU) func(*Warp) bool {
-	return func(w *Warp) bool {
-		return w.V || gpu.CTABarrierPending(w.CTA)
-	}
 }

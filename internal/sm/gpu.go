@@ -292,9 +292,6 @@ func (g *GPU) skipTarget(now uint64, stalled bool) uint64 {
 	if g.nextSample < t {
 		t = g.nextSample
 	}
-	// NextReady is a lower bound, which is all a safe skip needs. After
-	// a Step it is also exact, so no skip is cut short: a failed
-	// pop-scan repairs the cached minimum and a push only lowers it.
 	if rc, ok := g.respQ.NextReady(); ok && rc < t {
 		t = rc
 	}
@@ -324,17 +321,15 @@ func (g *GPU) Step() { g.step() }
 func (g *GPU) step() int {
 	now := g.cycle
 
-	// 1. Retire ready fills. NextReady answers the common "nothing in
-	// flight is due yet" case in O(1), so a quiescent response queue
-	// costs one comparison.
-	if rc, ok := g.respQ.NextReady(); ok && rc <= now {
-		for {
-			ev, ok := g.respQ.PopReady(now)
-			if !ok {
-				break
-			}
-			g.handleFill(ev, now)
+	// 1. Retire ready fills. PopReady answers "nothing in flight is
+	// due yet" in O(1), so a quiescent response queue costs one
+	// comparison.
+	for {
+		ev, ok := g.respQ.PopReady(now)
+		if !ok {
+			break
 		}
+		g.handleFill(ev, now)
 	}
 
 	// 2. Controller epoch work.

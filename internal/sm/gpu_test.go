@@ -390,7 +390,7 @@ func (s *stallEverything) Attach(g *sm.GPU) {
 }
 
 func (s *stallEverything) Pick(g *sm.GPU, now uint64) int {
-	return s.PickGTO(g, now, func(w *sm.Warp) bool { return w.V })
+	return s.PickGTO(g, now, sm.ActiveOnly)
 }
 
 func TestConfigValidation(t *testing.T) {
