@@ -240,13 +240,19 @@ func BenchmarkFig12bDRAMBandwidth(b *testing.B) {
 	b.ReportMetric(res.GeoMean["CIAO-C-2X"], "ciaoc2x-vs-gto")
 }
 
-// BenchmarkCellRun measures the end-to-end cost of one sweep cell —
+// BenchmarkCellRun measures the end-to-end cost of sweep cells —
 // kernel construction plus a full simulation — and reports the two
-// headline hot-path numbers: cells/sec (how many cells one core sustains) and ns/cycle (the cost
-// of one simulated cycle). Run with -benchmem to see the allocation
-// trajectory; the steady-state cycle loop is expected to be
-// allocation-free (see BenchmarkCellCycle and the internal/sm alloc
-// regression test).
+// headline hot-path numbers: cells/sec (how many cells one core
+// sustains) and ns/cycle (the cost of one simulated cycle). Run with
+// -benchmem to see the allocation trajectory; the steady-state cycle
+// loop is expected to be allocation-free (see BenchmarkCellCycle and
+// the internal/sm alloc regression test).
+//
+// GTO and CIAO-C time one SYRK cell each. fig8 times one pass over
+// all 147 Figure 8 cells (21 Table II benchmarks × 7 schedulers) at
+// the budgets of fig8Instr, the cell traffic of sweeps, figure jobs
+// and /run; its CPU profile is the committed default.pgo (see README,
+// "Profile-guided build").
 func BenchmarkCellRun(b *testing.B) {
 	for _, sc := range []string{"GTO", "CIAO-C"} {
 		b.Run(sc, func(b *testing.B) {
@@ -259,23 +265,51 @@ func BenchmarkCellRun(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var cycles uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			benchCells(b, []workload.Spec{spec}, []harness.SchedulerFactory{f})
+		})
+	}
+	b.Run("fig8", func(b *testing.B) {
+		specs := workload.Suite()
+		for i := range specs {
+			specs[i].InstrPerWarp = fig8Instr(specs[i].Class)
+		}
+		benchCells(b, specs, harness.Schedulers())
+	})
+}
+
+// fig8Instr is the per-warp budget of a Figure 8 cell in
+// BenchmarkCellRun/fig8: 1000 for the memory-intensive LWS and SWS
+// classes and 4000 for CI, the budgets of the perfbench sweep-memory
+// and sweep-compute workloads.
+func fig8Instr(c workload.Class) uint64 {
+	if c == workload.CI {
+		return 4000
+	}
+	return 1000
+}
+
+// benchCells runs every spec under every scheduler, one cell at a time,
+// per benchmark iteration and reports cells/sec and ns/cycle.
+func benchCells(b *testing.B, specs []workload.Spec, scheds []harness.SchedulerFactory) {
+	var cycles uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, spec := range specs {
+			for _, f := range scheds {
 				r, _, err := harness.RunOne(spec, f, harness.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
 				cycles += r.Cycles
 			}
-			sec := b.Elapsed().Seconds()
-			if sec > 0 {
-				b.ReportMetric(float64(b.N)/sec, "cells/sec")
-			}
-			if cycles > 0 {
-				b.ReportMetric(sec*1e9/float64(cycles), "ns/cycle")
-			}
-		})
+		}
+	}
+	sec := b.Elapsed().Seconds()
+	if sec > 0 {
+		b.ReportMetric(float64(b.N*len(specs)*len(scheds))/sec, "cells/sec")
+	}
+	if cycles > 0 {
+		b.ReportMetric(sec*1e9/float64(cycles), "ns/cycle")
 	}
 }
 
@@ -308,24 +342,6 @@ func BenchmarkCellCycle(b *testing.B) {
 		g.Advance()
 	}
 	b.ReportMetric(float64(cycles+g.Cycle())/float64(b.N), "cycles/op")
-}
-
-// BenchmarkSimulatorThroughput measures raw simulation speed
-// (cycles/op) of the core engine under GTO.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	spec, err := workload.ByName("SYRK")
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec.InstrPerWarp = 2000
-	b.ResetTimer()
-	var cycles uint64
-	for i := 0; i < b.N; i++ {
-		g := sm.MustGPU(sm.DefaultConfig(), workload.MustKernel(spec), sched.NewGTO(), nil)
-		r := g.Run()
-		cycles = r.Cycles
-	}
-	b.ReportMetric(float64(cycles), "sim-cycles")
 }
 
 // --- Sweep engine hot path ---

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -105,4 +106,41 @@ func TestVTAIsolationInvariant(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// BenchmarkVTAProbe measures one lost-locality probe of the Table I
+// VTA (48 warp sets × 8 tags), the check every L1 miss makes. Each
+// warp probes lines drawn from its own 16. A hit consumes its entry; a
+// missed line is inserted in the same op, as its eviction after the
+// fill would be, so each set holds the owner's recent misses and about
+// a third of the probes hit.
+func BenchmarkVTAProbe(b *testing.B) {
+	const warps, tags, lines = 48, 8, 16
+	v := NewVTA(warps, tags)
+	rng := rand.New(rand.NewSource(1))
+	probes := make([]memory.Addr, 4096)
+	for i := range probes {
+		w := i % warps
+		probes[i] = memory.Addr(0x1000_0000 + (w*lines+rng.Intn(lines))<<memory.LineShift)
+	}
+	op := func(i int) bool {
+		w, a := i%warps, probes[i%len(probes)]
+		hit, _ := v.Probe(w, a)
+		if !hit {
+			v.Insert(w, a, (w+1)%warps)
+		}
+		return hit
+	}
+	for i := 0; i < 4096; i++ {
+		op(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	hits := 0
+	for i := 0; i < b.N; i++ {
+		if op(i) {
+			hits++
+		}
+	}
+	b.ReportMetric(float64(hits)/float64(b.N), "hit-rate")
 }

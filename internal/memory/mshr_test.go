@@ -1,6 +1,7 @@
 package memory
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -201,5 +202,45 @@ func TestMSHRResetRecyclesTable(t *testing.T) {
 	}
 	if m.Outstanding() != 8 {
 		t.Fatalf("Outstanding = %d, want 8", m.Outstanding())
+	}
+}
+
+// BenchmarkMSHR runs the L1 MSHR (Table I: 32 entries, 8 merges each)
+// at a steady occupancy of 16 live entries: one op is one request to a
+// line drawn from 48 lines, which merges into a live entry or allocates
+// a new one, after which the oldest entries are filled down to the
+// target occupancy. About a third of the requests merge.
+func BenchmarkMSHR(b *testing.B) {
+	const entries, merges, target, pool = 32, 8, 16, 48
+	m := NewMSHR(entries, merges)
+	rng := rand.New(rand.NewSource(1))
+	reqs := make([]Request, 4096)
+	for i := range reqs {
+		reqs[i] = Request{Addr: 0x1000_0000 + Addr(rng.Intn(pool))<<LineShift, WarpID: i % 48}
+	}
+	// fifo holds the live lines in allocation order; a line is live at
+	// most once, so entries slots suffice.
+	var fifo [entries]Addr
+	head, n := 0, 0
+	op := func(r Request) {
+		if m.CanAllocate(r.Addr) {
+			if _, merged := m.Allocate(r); !merged {
+				fifo[(head+n)%entries] = r.Addr.LineAddr()
+				n++
+			}
+		}
+		for n > target {
+			m.Fill(fifo[head])
+			head = (head + 1) % entries
+			n--
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		op(reqs[i%len(reqs)])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op(reqs[i%len(reqs)])
 	}
 }

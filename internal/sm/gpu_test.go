@@ -1,6 +1,7 @@
 package sm_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -391,6 +392,55 @@ func (s *stallEverything) Attach(g *sm.GPU) {
 
 func (s *stallEverything) Pick(g *sm.GPU, now uint64) int {
 	return s.PickGTO(g, now, sm.ActiveOnly)
+}
+
+// BenchmarkPickGTO measures one greedy-then-oldest pick over SYRK's 48
+// warps: one op is one cycle in which the picked warp "issues" and
+// becomes ready again 1 to 48 cycles later (uniform), so about half
+// the eligible warps wait at any time and the fallback scan examines
+// several. The GPU itself never runs; only the warps' NextReady moves.
+// AllWarps is GTO's rule; ActiveOrBarrierBoosted, the throttling
+// schedulers' rule, runs with every fourth warp stalled (V=0), and a
+// stalled warp examined also tests its CTA's barrier.
+func BenchmarkPickGTO(b *testing.B) {
+	spec, err := workload.ByName("SYRK")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	lat := make([]uint64, 4096)
+	for i := range lat {
+		lat[i] = 1 + uint64(rng.Intn(48))
+	}
+	for _, c := range []struct {
+		name string
+		e    sm.Eligibility
+	}{{"AllWarps", sm.AllWarps}, {"ActiveOrBarrierBoosted", sm.ActiveOrBarrierBoosted}} {
+		b.Run(c.name, func(b *testing.B) {
+			g := sm.MustGPU(sm.DefaultConfig(), workload.MustKernel(spec), sched.NewGTO(), nil)
+			if c.e != sm.AllWarps {
+				for i := 3; i < g.NumWarps(); i += 4 {
+					g.Warp(i).V = false
+				}
+			}
+			var p sm.GreedyThenOldest
+			now := uint64(0)
+			pick := func() {
+				now++
+				if w := p.PickGTO(g, now, c.e); w >= 0 {
+					g.Warp(w).NextReady = now + lat[now%uint64(len(lat))]
+				}
+			}
+			for i := 0; i < 1000; i++ {
+				pick()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pick()
+			}
+		})
+	}
 }
 
 func TestConfigValidation(t *testing.T) {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -457,5 +458,52 @@ func TestClassString(t *testing.T) {
 	}
 	if GlobalLoad.String() != "load" || BarrierOp.String() != "barrier" {
 		t.Fatal("kind strings wrong")
+	}
+}
+
+// TestSuiteSpecsDistinct fails when two Table II specs differ only in
+// Name, so a copy-pasted suite entry that forgot its own parameters
+// cannot silently duplicate another benchmark's cells.
+func TestSuiteSpecsDistinct(t *testing.T) {
+	// BICG and MVT are built with the same parameters and seed, so
+	// every BICG cell equals the MVT cell under the same scheduler (a
+	// documented deviation from Table II, kept so that the golden pins
+	// and benchmark digests hold). No other pair may alias.
+	known := map[[2]string]bool{{"BICG", "MVT"}: true}
+	suite := Suite()
+	for i, a := range suite {
+		for _, b := range suite[i+1:] {
+			x, y := a, b
+			x.Name, y.Name = "", ""
+			if reflect.DeepEqual(x, y) && !known[[2]string{a.Name, b.Name}] {
+				t.Errorf("%s and %s differ only in Name", a.Name, b.Name)
+			}
+		}
+	}
+}
+
+// BenchmarkWarpStreamFill measures stream generation: one op is one
+// 16-instruction batch, the refill of a warp's instruction buffer,
+// taken from the 48 warps' streams in turn. The budget is raised so
+// the streams never run out; the three specs have one phase each.
+func BenchmarkWarpStreamFill(b *testing.B) {
+	for _, name := range []string{"Kmeans", "SYRK", "Backprop"} {
+		spec, err := ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(spec.Class.String()+"/"+name, func(b *testing.B) {
+			spec.InstrPerWarp = 1 << 40
+			streams := make([]*WarpStream, spec.NumWarps)
+			for w := range streams {
+				streams[w] = NewWarpStream(spec, w)
+			}
+			var buf [16]Instruction
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				streams[i%len(streams)].Fill(buf[:])
+			}
+		})
 	}
 }
